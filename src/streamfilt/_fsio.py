@@ -10,7 +10,8 @@ import os
 import tempfile
 
 
-def atomic_write_bytes(path: str | os.PathLike[str], data: bytes) -> None:
+def atomic_write_bytes(path: str | os.PathLike[str], data) -> None:
+    """Write data, any C-contiguous buffer (bytes or a numpy array, say), as is."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")

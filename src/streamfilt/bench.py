@@ -10,12 +10,12 @@ for identical results, not just similar speed.
 from __future__ import annotations
 
 import gc
+import math
 import time
 import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .errors import StreamfiltError, ValidationError
 from ._fsio import atomic_write_text
@@ -33,9 +33,22 @@ from .signal_core import SignalMatrix, replicate_signal
 
 
 def student_t_975(df: int) -> float:
-    """Upper 97.5 percent quantile of Student's t with df degrees of freedom."""
+    """Upper 97.5 percent quantile of Student's t with df degrees of freedom.
+
+    df = 1 and df = 2 return the exact closed forms tan(0.475 pi), evaluated
+    as 1 / tan(pi / 40) because that rounds less, and 0.95 / sqrt(0.04875).
+    They do not depend on the scipy version. From df = 3 on the value is
+    scipy.stats.t.ppf(0.975, df), imported here so that only a confidence
+    interval pays for loading scipy.stats.
+    """
     if df < 1:
         raise ValidationError(f"degrees of freedom must be >= 1, got {df}")
+    if df == 1:
+        return 1.0 / math.tan(math.pi / 40.0)
+    if df == 2:
+        return 0.95 / math.sqrt(0.04875)
+    from scipy import stats
+
     return float(stats.t.ppf(0.975, df))
 
 

@@ -16,7 +16,6 @@ transform, which is both faster and lighter on memory.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ValidationError
 
@@ -69,6 +68,10 @@ def convolve_valid_direct(data: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 
 def _convolve_valid_fft(data: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    # Imported here so that runs that never take the FFT engine (stateful,
+    # compare) do not pay for loading scipy.fft.
+    from scipy.fft import irfft, next_fast_len, rfft
+
     length = taps.size
     width = data.shape[1]
     out_width = width - length + 1

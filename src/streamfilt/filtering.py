@@ -178,7 +178,7 @@ def filter_batch(
                 )
             )
         out = np.concatenate(parts, axis=0)
-    return SignalMatrix(info=signal.info, data=out)
+    return SignalMatrix._adopt(signal.info, out)
 
 
 def filter_per_packet(
@@ -202,7 +202,7 @@ def filter_per_packet(
         convolve_valid(reflect_pad(signal.data[:, start:stop], delay), kernel.taps, method)
         for start, stop in plan.slices()
     ]
-    return SignalMatrix(info=signal.info, data=np.concatenate(parts, axis=1))
+    return SignalMatrix._adopt(signal.info, np.concatenate(parts, axis=1))
 
 
 def filter_stateful_stream(
@@ -232,7 +232,7 @@ def filter_stateful_stream(
             state = ext[:, ext.shape[1] - (length - 1) :]
         else:
             state = ext
-    return SignalMatrix(info=signal.info, data=np.concatenate(parts, axis=1))
+    return SignalMatrix._adopt(signal.info, np.concatenate(parts, axis=1))
 
 
 def _stream_chunks(

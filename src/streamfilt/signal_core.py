@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -82,22 +83,47 @@ class SignalInfo:
         )
 
 
+def _validated(info: SignalInfo, data: np.ndarray) -> np.ndarray:
+    """data as a read-only float64 C-order array matching info.
+
+    Copies only when data is not already float64 in C order.
+    """
+    arr = np.ascontiguousarray(data, dtype=np.float64)
+    expected = (info.channel_count, info.sample_count)
+    if arr.shape != expected:
+        raise ValidationError(f"data shape {arr.shape} does not match info {expected}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("signal data contains non-finite samples")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class SignalMatrix:
-    """Immutable (channel_count, sample_count) float64 sample matrix."""
+    """Immutable (channel_count, sample_count) float64 sample matrix.
+
+    The constructor copies data, so later changes to the caller's array do
+    not show through.
+    """
 
     info: SignalInfo
     data: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.array(self.data, dtype=np.float64, order="C")
-        expected = (self.info.channel_count, self.info.sample_count)
-        if arr.shape != expected:
-            raise ValidationError(f"data shape {arr.shape} does not match info {expected}")
-        if not np.isfinite(arr).all():
-            raise ValidationError("signal data contains non-finite samples")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _validated(self.info, arr))
+
+    @classmethod
+    def _adopt(cls, info: SignalInfo, data: np.ndarray) -> "SignalMatrix":
+        """Wrap an array without copying it.
+
+        Only for arrays this package has just allocated and no caller can
+        reach: the array is made read-only in place and shared as is.
+        """
+        signal = object.__new__(cls)
+        object.__setattr__(signal, "info", info)
+        object.__setattr__(signal, "data", _validated(info, data))
+        return signal
 
     def channel(self, index: int) -> np.ndarray:
         return self.data[index]
@@ -171,7 +197,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SignalMatrix:
     if spec.noise_sigma > 0:
         rng = np.random.Generator(np.random.PCG64(spec.seed))
         data += spec.noise_sigma * rng.standard_normal((n_ch, n_samp))
-    return SignalMatrix(info=info, data=data)
+    return SignalMatrix._adopt(info, data)
 
 
 def broadband_spec(
@@ -222,7 +248,7 @@ def replicate_signal(signal: SignalMatrix, factor: int) -> SignalMatrix:
         sample_count=signal.info.sample_count * factor,
         channel_labels=signal.info.channel_labels,
     )
-    return SignalMatrix(info=info, data=np.tile(signal.data, (1, factor)))
+    return SignalMatrix._adopt(info, np.tile(signal.data, (1, factor)))
 
 
 def _base_path(path: str | os.PathLike[str]) -> str:
@@ -247,7 +273,7 @@ def store_signal(signal: SignalMatrix, path: str | os.PathLike[str]) -> None:
         "sample_count": signal.info.sample_count,
         "channel_labels": list(signal.info.channel_labels),
     }
-    payload = np.ascontiguousarray(signal.data, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(signal.data, dtype="<f8")
     atomic_write_text(base + _HEADER_SUFFIX, json.dumps(header, sort_keys=True) + "\n")
     atomic_write_bytes(base + _PAYLOAD_SUFFIX, payload)
 
@@ -279,28 +305,55 @@ def load_signal(path: str | os.PathLike[str]) -> SignalMatrix:
         raise HeaderFormatError(f"header missing fields {missing} in {header_path}")
     try:
         info = SignalInfo(
-            sampling_rate_hz=float(header["sampling_rate_hz"]),
-            channel_count=int(header["channel_count"]),
-            sample_count=int(header["sample_count"]),
+            sampling_rate_hz=_header_rate(header, header_path),
+            channel_count=_header_int(header, "channel_count", header_path),
+            sample_count=_header_int(header, "sample_count", header_path),
             channel_labels=tuple(header["channel_labels"]),
         )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
+    except TypeError as exc:
         raise HeaderFormatError(f"malformed header field in {header_path}: {exc}") from None
+    expected_bytes = info.channel_count * info.sample_count * 8
     try:
-        with open(payload_path, "rb") as fh:
-            payload = fh.read()
+        fh = open(payload_path, "rb")
     except FileNotFoundError:
         raise SignalFileMissingError(f"payload file not found: {payload_path}") from None
-    expected_bytes = info.channel_count * info.sample_count * 8
-    if len(payload) != expected_bytes:
+    with fh:
+        # The size is checked before anything is allocated, so a header
+        # that claims a huge geometry fails fast instead of exhausting memory.
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected_bytes:
+            raise PayloadSizeError(
+                f"payload {payload_path} holds {size} bytes, header implies {expected_bytes}"
+            )
+        payload = bytearray(expected_bytes)
+        read = fh.readinto(payload)
+    if read != expected_bytes:
         raise PayloadSizeError(
-            f"payload {payload_path} holds {len(payload)} bytes, "
+            f"payload {payload_path} changed while reading: got {read} bytes, "
             f"header implies {expected_bytes}"
         )
     data = np.frombuffer(payload, dtype="<f8").reshape(info.channel_count, info.sample_count)
-    return SignalMatrix(info=info, data=data)
+    return SignalMatrix._adopt(info, data)
+
+
+def _header_int(header: dict, key: str, header_path: str) -> int:
+    value = header[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise HeaderFormatError(f"{key} must be a JSON integer, got {value!r} in {header_path}")
+    return value
+
+
+def _header_rate(header: dict, header_path: str) -> float:
+    value = header["sampling_rate_hz"]
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        finite = False
+    if not finite:
+        raise HeaderFormatError(
+            f"sampling_rate_hz must be a finite JSON number, got {value!r} in {header_path}"
+        )
+    return float(value)
 
 
 def load_signal_csv(path: str | os.PathLike[str], sampling_rate_hz: float) -> SignalMatrix:

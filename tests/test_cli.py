@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import streamfilt
 from streamfilt import (
     FilterSpec,
     design_bandpass,
@@ -170,6 +174,29 @@ class TestFilter:
         assert not np.array_equal(per_packet, batch)
         assert np.abs(stateful - batch).max() <= 1e-9
 
+    @pytest.mark.parametrize("damage,exit_code", [("long", 2), ("nan", 1)])
+    def test_bad_payload_one_line_error(self, capsys, tmp_path, damage, exit_code):
+        base = tmp_path / "sig"
+        gen_small(capsys, base)
+        payload = tmp_path / "sig.f64"
+        if damage == "long":
+            payload.write_bytes(payload.read_bytes() + bytes(8))
+        else:
+            data = np.fromfile(payload, dtype="<f8")
+            data[5] = np.nan
+            data.tofile(payload)
+        code, out, err = run_cli(
+            capsys,
+            "filter", "--in", str(base), "--out", str(tmp_path / "o"),
+            "--low", "2", "--high", "30",
+        )
+        assert code == exit_code
+        lines = err.splitlines()
+        assert len(lines) == 2  # the config echo, then the error
+        assert lines[1].startswith("error: ")
+        assert out == ""
+        assert not (tmp_path / "o.f64").exists()
+
 
 class TestCompare:
     def test_summary_and_csv(self, capsys, tmp_path):
@@ -297,3 +324,19 @@ class TestThreadsEnv:
             "--low", "2", "--high", "30", "--length", "61",
         )
         assert (tmp_path / "one.f64").read_bytes() == (tmp_path / "three.f64").read_bytes()
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        script = "import json, sys, streamfilt.cli; print(json.dumps(sorted(sys.modules)))"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(streamfilt.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        loaded = json.loads(result.stdout)
+        assert [m for m in loaded if m.startswith("scipy")] == []
+        assert "streamfilt.bench" in loaded
+        assert "streamfilt.convolution" in loaded

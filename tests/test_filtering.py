@@ -240,6 +240,22 @@ class TestFilterStatefulStream:
         assert np.array_equal(out.data, filter_batch(sig, kernel, method="direct").data)
 
 
+@pytest.mark.parametrize("route", ["batch", "per-packet", "stateful"])
+def test_route_output_is_read_only(route):
+    signal = _random_signal(2, 500, seed=4)
+    kernel = _small_kernel()
+    plan = packetize(signal, 120)
+    if route == "batch":
+        out = filter_batch(signal, kernel)
+    elif route == "per-packet":
+        out = filter_per_packet(signal, kernel, plan)
+    else:
+        out = filter_stateful_stream(signal, kernel, plan)
+    assert not out.data.flags.writeable
+    with pytest.raises(ValueError):
+        out.data[0, 0] = 1.0
+
+
 class TestApplyMode:
     def test_dispatch(self):
         sig = _random_signal(2, 900, seed=19)

@@ -26,6 +26,7 @@ from streamfilt import (
     replicate_signal,
     store_signal,
 )
+from streamfilt import signal_core
 
 
 def _info(rate=600.0, channels=2, samples=100):
@@ -90,6 +91,18 @@ class TestSignalMatrix:
     def test_coerces_dtype(self):
         sig = SignalMatrix(info=_info(channels=1, samples=3), data=[[1, 2, 3]])
         assert sig.data.dtype == np.float64
+
+    @pytest.mark.parametrize("build", ["generate", "replicate", "load"])
+    def test_package_built_data_is_read_only(self, tmp_path, build):
+        sig = generate_synthetic(broadband_spec(channel_count=2, sample_count=20, seed=1))
+        if build == "replicate":
+            sig = replicate_signal(sig, 3)
+        elif build == "load":
+            store_signal(sig, tmp_path / "rec")
+            sig = load_signal(tmp_path / "rec")
+        assert not sig.data.flags.writeable
+        with pytest.raises(ValueError):
+            sig.data[0, 0] = 1.0
 
 
 class TestSyntheticSpec:
@@ -258,6 +271,64 @@ class TestStoreLoad:
         (tmp_path / "rec.f64").write_bytes(payload[:-8])
         with pytest.raises(PayloadSizeError):
             load_signal(tmp_path / "rec")
+
+    @pytest.mark.parametrize("extra", [-8, 8], ids=["short", "long"])
+    def test_payload_size_checked_before_allocation(self, tmp_path, monkeypatch, extra):
+        sig = generate_synthetic(broadband_spec(channel_count=1, sample_count=10, seed=1))
+        store_signal(sig, tmp_path / "rec")
+        payload = (tmp_path / "rec.f64").read_bytes()
+        damaged = payload[:extra] if extra < 0 else payload + bytes(extra)
+        (tmp_path / "rec.f64").write_bytes(damaged)
+
+        def no_allocation(*args):
+            raise AssertionError("payload buffer allocated before the size check")
+
+        monkeypatch.setattr(signal_core, "bytearray", no_allocation, raising=False)
+        with pytest.raises(PayloadSizeError):
+            load_signal(tmp_path / "rec")
+
+    def test_non_finite_payload_rejected(self, tmp_path):
+        sig = generate_synthetic(broadband_spec(channel_count=2, sample_count=10, seed=1))
+        store_signal(sig, tmp_path / "rec")
+        data = np.fromfile(tmp_path / "rec.f64", dtype="<f8")
+        data[13] = np.nan
+        data.tofile(tmp_path / "rec.f64")
+        with pytest.raises(ValidationError):
+            load_signal(tmp_path / "rec")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("channel_count", 3.7),
+            ("channel_count", 1.0),
+            ("channel_count", "1"),
+            ("channel_count", True),
+            ("sample_count", 3.7),
+            ("sample_count", "100"),
+            ("sample_count", True),
+            ("sampling_rate_hz", "600.614"),
+            ("sampling_rate_hz", True),
+            ("sampling_rate_hz", None),
+            ("sampling_rate_hz", math.inf),
+            pytest.param("sampling_rate_hz", 10**400, id="sampling_rate_hz-huge-int"),
+        ],
+    )
+    def test_header_field_types_are_exact(self, tmp_path, field, value):
+        sig = generate_synthetic(broadband_spec(channel_count=1, sample_count=100, seed=1))
+        store_signal(sig, tmp_path / "rec")
+        header = json.loads((tmp_path / "rec.json").read_text())
+        header[field] = value
+        (tmp_path / "rec.json").write_text(json.dumps(header))
+        with pytest.raises(HeaderFormatError):
+            load_signal(tmp_path / "rec")
+
+    def test_integer_rate_accepted(self, tmp_path):
+        sig = generate_synthetic(broadband_spec(channel_count=1, sample_count=10, seed=1))
+        store_signal(sig, tmp_path / "rec")
+        header = json.loads((tmp_path / "rec.json").read_text())
+        header["sampling_rate_hz"] = 600
+        (tmp_path / "rec.json").write_text(json.dumps(header))
+        assert load_signal(tmp_path / "rec").info.sampling_rate_hz == 600.0
 
     def test_invalid_geometry_in_header(self, tmp_path):
         sig = generate_synthetic(broadband_spec(channel_count=1, sample_count=10, seed=1))
