@@ -4,10 +4,13 @@ All three produce exactly sample_count output samples per channel. The
 filter delay of (length - 1) / 2 samples is compensated by reflect-padding
 and trimming, so output sample k lines up with input sample k.
 
-Batch pads the whole record once. Per-packet treats every packet as its own
-tiny record (pad, filter, trim, concatenate), which reproduces the boundary
-artifacts of naive real-time filtering and is deliberately not equivalent to
-batch. The stateful stream carries the last length - 1 samples between
+Each route allocates its output once and writes every piece of work into
+its slice of it; none builds a padded copy of the record or a list of parts
+to concatenate. Batch convolves the whole record as if reflect-padded once.
+Per-packet treats every packet as its own tiny record (reflect-pad, filter,
+trim, written into the packet's columns), which reproduces the boundary
+artifacts of naive real-time filtering and is deliberately not equivalent
+to batch. The stateful stream carries the last length - 1 samples between
 packets, seeds that state from the batch left padding and flushes with the
 right padding, so its output matches batch at every sample and is bitwise
 identical for any packetization of the same signal.
@@ -22,12 +25,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .convolution import (
-    convolve_valid,
-    convolve_valid_direct,
-    edge_reflections,
-    reflect_pad,
-)
+from .convolution import convolve_reflected, reflect_pad_columns
 from .errors import ValidationError
 from .fir_design import FirKernel
 from .signal_core import SignalMatrix
@@ -165,19 +163,19 @@ def filter_batch(
     """
     _check_compatible(signal, kernel)
     threads = _resolve_threads(n_threads, signal.info.channel_count)
-    padded = reflect_pad(signal.data, kernel.group_delay_samples)
+    delay = kernel.group_delay_samples
+    out = np.empty(signal.data.shape, dtype=np.float64)
+    bounds = np.linspace(0, signal.info.channel_count, threads + 1).astype(int)
+
+    def run(i: int) -> None:
+        rows = slice(bounds[i], bounds[i + 1])
+        convolve_reflected(signal.data[rows], kernel.taps, delay, out[rows], method)
+
     if threads == 1:
-        out = convolve_valid(padded, kernel.taps, method)
+        run(0)
     else:
-        bounds = np.linspace(0, signal.info.channel_count, threads + 1).astype(int)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda i: convolve_valid(padded[bounds[i] : bounds[i + 1]], kernel.taps, method),
-                    range(threads),
-                )
-            )
-        out = np.concatenate(parts, axis=0)
+            list(pool.map(run, range(threads)))
     return SignalMatrix._adopt(signal.info, out)
 
 
@@ -188,7 +186,7 @@ def filter_per_packet(
     *,
     method: str = "auto",
 ) -> SignalMatrix:
-    """Filter every packet as its own record and concatenate.
+    """Filter every packet as its own record, into its columns of the output.
 
     Each packet gets its own reflect padding and trim, so packet boundaries
     leave artifacts. That is the point: this models live filtering that
@@ -198,11 +196,12 @@ def filter_per_packet(
     _check_compatible(signal, kernel)
     _check_plan(signal, plan)
     delay = kernel.group_delay_samples
-    parts = [
-        convolve_valid(reflect_pad(signal.data[:, start:stop], delay), kernel.taps, method)
-        for start, stop in plan.slices()
-    ]
-    return SignalMatrix._adopt(signal.info, np.concatenate(parts, axis=1))
+    out = np.empty(signal.data.shape, dtype=np.float64)
+    for start, stop in plan.slices():
+        convolve_reflected(
+            signal.data[:, start:stop], kernel.taps, delay, out[:, start:stop], method
+        )
+    return SignalMatrix._adopt(signal.info, out)
 
 
 def filter_stateful_stream(
@@ -220,19 +219,24 @@ def filter_stateful_stream(
     """
     _check_compatible(signal, kernel)
     _check_plan(signal, plan)
-    taps = kernel.taps
+    data = signal.data
+    width = signal.info.sample_count
+    delay = kernel.group_delay_samples
     length = kernel.length
-    lpad, rpad = edge_reflections(signal.data, kernel.group_delay_samples)
-    state = lpad
-    parts = []
-    for chunk in _stream_chunks(signal.data, plan, rpad):
+    out = np.empty(data.shape, dtype=np.float64)
+    state = reflect_pad_columns(data, delay, 0, delay)
+    flush = reflect_pad_columns(data, delay, delay + width, 2 * delay + width)
+    done = 0
+    for chunk in _stream_chunks(data, plan, flush):
         ext = np.concatenate([state, chunk], axis=1)
-        if ext.shape[1] >= length:
-            parts.append(convolve_valid_direct(ext, taps))
-            state = ext[:, ext.shape[1] - (length - 1) :]
+        ready = ext.shape[1] - (length - 1)
+        if ready > 0:
+            convolve_reflected(ext, kernel.taps, 0, out[:, done : done + ready], "direct")
+            done += ready
+            state = ext[:, ready:]
         else:
             state = ext
-    return SignalMatrix._adopt(signal.info, np.concatenate(parts, axis=1))
+    return SignalMatrix._adopt(signal.info, out)
 
 
 def _stream_chunks(

@@ -303,15 +303,12 @@ def load_signal(path: str | os.PathLike[str]) -> SignalMatrix:
     missing = [key for key in required if key not in header]
     if missing:
         raise HeaderFormatError(f"header missing fields {missing} in {header_path}")
-    try:
-        info = SignalInfo(
-            sampling_rate_hz=_header_rate(header, header_path),
-            channel_count=_header_int(header, "channel_count", header_path),
-            sample_count=_header_int(header, "sample_count", header_path),
-            channel_labels=tuple(header["channel_labels"]),
-        )
-    except TypeError as exc:
-        raise HeaderFormatError(f"malformed header field in {header_path}: {exc}") from None
+    info = SignalInfo(
+        sampling_rate_hz=_header_rate(header, header_path),
+        channel_count=_header_int(header, "channel_count", header_path),
+        sample_count=_header_int(header, "sample_count", header_path),
+        channel_labels=_header_labels(header, header_path),
+    )
     expected_bytes = info.channel_count * info.sample_count * 8
     try:
         fh = open(payload_path, "rb")
@@ -341,6 +338,15 @@ def _header_int(header: dict, key: str, header_path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise HeaderFormatError(f"{key} must be a JSON integer, got {value!r} in {header_path}")
     return value
+
+
+def _header_labels(header: dict, header_path: str) -> tuple[str, ...]:
+    value = header["channel_labels"]
+    if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
+        raise HeaderFormatError(
+            f"channel_labels must be a JSON list of strings, got {value!r} in {header_path}"
+        )
+    return tuple(value)
 
 
 def _header_rate(header: dict, header_path: str) -> float:

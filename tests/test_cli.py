@@ -197,6 +197,25 @@ class TestFilter:
         assert out == ""
         assert not (tmp_path / "o.f64").exists()
 
+    def test_bad_channel_labels_exit_2(self, capsys, tmp_path):
+        base = tmp_path / "sig"
+        gen_small(capsys, base)
+        header = json.loads((tmp_path / "sig.json").read_text())
+        header["channel_labels"] = "abc"  # a string of one letter per channel
+        (tmp_path / "sig.json").write_text(json.dumps(header))
+        code, out, err = run_cli(
+            capsys,
+            "filter", "--in", str(base), "--out", str(tmp_path / "o"),
+            "--low", "2", "--high", "30",
+        )
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 2  # the config echo, then the error
+        assert lines[1].startswith("error: ") and "channel_labels" in lines[1]
+        assert out == ""
+        assert not (tmp_path / "o.f64").exists()
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestCompare:
     def test_summary_and_csv(self, capsys, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from streamfilt import (
     filter_stateful_stream,
     packetize,
 )
+from streamfilt.convolution import convolve_valid, reflect_pad
 
 from conftest import make_signal
 
@@ -238,6 +241,42 @@ class TestFilterStatefulStream:
         kernel = _small_kernel(61)
         out = filter_stateful_stream(sig, kernel, packetize(sig, 600))
         assert np.array_equal(out.data, filter_batch(sig, kernel, method="direct").data)
+
+
+class TestPreallocatedOutput:
+    # 3 x 40000 spans several overlap-save blocks, 2 x 1500 takes the single
+    # transform, and 2 x 400 is no longer than the group delay of 495.
+    @pytest.mark.parametrize("channels,samples", [(3, 40000), (2, 1500), (2, 400)])
+    def test_batch_fft_bitwise_equal_to_padded_record(self, standard_kernel, channels, samples):
+        sig = _random_signal(channels, samples, seed=samples)
+        delay = standard_kernel.group_delay_samples
+        expected = convolve_valid(reflect_pad(sig.data, delay), standard_kernel.taps, "fft")
+        out = filter_batch(sig, standard_kernel, method="fft")
+        assert np.array_equal(out.data, expected)
+
+    @pytest.mark.parametrize(
+        "route,limit",
+        [("batch", 1.7), ("batch-2-threads", 1.7), ("per-packet", 1.25), ("stateful", 1.25)],
+    )
+    def test_peak_memory_near_one_output(self, standard_kernel, route, limit):
+        # 8 x 100000 takes the blocked FFT path. A route that pads the whole
+        # record or concatenates a list of parts peaks above 2x the output.
+        sig = _random_signal(8, 100000, seed=21)
+        plan = packetize(sig, 400)
+        run = {
+            "batch": lambda: filter_batch(sig, standard_kernel),
+            "batch-2-threads": lambda: filter_batch(sig, standard_kernel, n_threads=2),
+            "per-packet": lambda: filter_per_packet(sig, standard_kernel, plan),
+            "stateful": lambda: filter_stateful_stream(sig, standard_kernel, plan),
+        }[route]
+        run()  # warm-up: scipy.fft plans and caches are not part of the route
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * out.data.nbytes
 
 
 @pytest.mark.parametrize("route", ["batch", "per-packet", "stateful"])

@@ -322,6 +322,16 @@ class TestStoreLoad:
         with pytest.raises(HeaderFormatError):
             load_signal(tmp_path / "rec")
 
+    @pytest.mark.parametrize("labels", ["ab", {"a": 1, "b": 2}, [1, 2]], ids=repr)
+    def test_channel_labels_must_be_a_list_of_strings(self, tmp_path, labels):
+        sig = generate_synthetic(broadband_spec(channel_count=2, sample_count=10, seed=1))
+        store_signal(sig, tmp_path / "rec")
+        header = json.loads((tmp_path / "rec.json").read_text())
+        header["channel_labels"] = labels
+        (tmp_path / "rec.json").write_text(json.dumps(header))
+        with pytest.raises(HeaderFormatError, match="channel_labels"):
+            load_signal(tmp_path / "rec")
+
     def test_integer_rate_accepted(self, tmp_path):
         sig = generate_synthetic(broadband_spec(channel_count=1, sample_count=10, seed=1))
         store_signal(sig, tmp_path / "rec")
