@@ -131,8 +131,11 @@ def time_filtering(
 
     Warmup runs are not timed and do not touch the clock; afterwards the
     clock is called exactly twice per repetition, which makes the function
-    testable with a scripted fake clock. Filtering runs single threaded and
-    with the garbage collector paused so repetitions stay comparable.
+    testable with a scripted fake clock. Filtering is pinned to one thread
+    (n_threads=1), whatever the CPU count or STREAMFILT_THREADS, and runs
+    with the garbage collector paused, so repetitions stay comparable and
+    the latency ordering of the routes is that of one core, not of however
+    many cores the host has.
     """
     if repetitions < 2:
         raise ValidationError(f"repetitions must be >= 2, got {repetitions}")
@@ -207,12 +210,14 @@ def run_sweep(
     Fidelity: each size is filtered repetitions_accuracy times on the
     original signal; the run is required to be deterministic (identical
     checksums), and the last output is correlated channel by channel against
-    the batch reference. Timing: the signal is replicated replicate_factor
-    times along the time axis and every configuration, batch first, is timed
-    repetitions_timing times on that longer record.
+    the batch reference. These passes use the default thread count, since
+    their outputs are bitwise the same for any. Timing: the signal is
+    replicated replicate_factor times along the time axis and every
+    configuration, batch first, is timed repetitions_timing times on that
+    longer record; those passes are pinned to one thread by time_filtering.
     """
     kernel = design_bandpass(config.filter_spec)
-    reference = apply_mode(signal, kernel, Batch(), n_threads=1)
+    reference = apply_mode(signal, kernel, Batch())
 
     fidelity_reports = []
     for size in config.packet_sizes:
@@ -221,7 +226,7 @@ def run_sweep(
         checksums = set()
         out = None
         for _ in range(config.repetitions_accuracy):
-            out = apply_mode(signal, kernel, mode, n_threads=1)
+            out = apply_mode(signal, kernel, mode)
             checksums.add(checksum_matrix(out.data))
         if len(checksums) != 1:
             raise StreamfiltError(

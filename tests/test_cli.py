@@ -344,6 +344,29 @@ class TestThreadsEnv:
         )
         assert (tmp_path / "one.f64").read_bytes() == (tmp_path / "three.f64").read_bytes()
 
+    @pytest.mark.parametrize("raw", ["zebra", "0", "-1"])
+    @pytest.mark.parametrize("mode", ["batch", "per-packet", "stateful"])
+    def test_bad_env_threads_exit_1_on_every_mode(
+        self, capsys, tmp_path, monkeypatch, mode, raw
+    ):
+        base = tmp_path / "sig"
+        gen_small(capsys, base)
+        monkeypatch.setenv("STREAMFILT_THREADS", raw)
+        code, out, err = run_cli(
+            capsys,
+            "filter", "--in", str(base), "--out", str(tmp_path / "o"),
+            "--low", "2", "--high", "30", "--length", "61",
+            "--mode", mode, "--packet-size", "400",
+        )
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 2  # the config echo, then the error
+        assert json.loads(lines[0])["threads_env"] == raw
+        assert lines[1].startswith("error: ")
+        assert out == ""
+        assert not (tmp_path / "o.f64").exists()
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestImportCost:
     def test_cli_import_loads_no_scipy(self):

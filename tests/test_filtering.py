@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from streamfilt import filtering
 from streamfilt import (
     Batch,
     FilterSpec,
@@ -141,14 +145,6 @@ class TestFilterBatch:
             assert out.data.shape == (1, samples)
             assert np.isfinite(out.data).all()
 
-    def test_thread_count_does_not_change_output(self):
-        sig = _random_signal(7, 3000, seed=6)
-        kernel = _small_kernel(61)
-        base = filter_batch(sig, kernel, n_threads=1)
-        for threads in (2, 3, 7, 16):
-            out = filter_batch(sig, kernel, n_threads=threads)
-            assert np.array_equal(out.data, base.data)
-
     def test_threads_env_variable(self, monkeypatch):
         sig = _random_signal(4, 1000, seed=7)
         kernel = _small_kernel(61)
@@ -256,7 +252,14 @@ class TestPreallocatedOutput:
 
     @pytest.mark.parametrize(
         "route,limit",
-        [("batch", 1.7), ("batch-2-threads", 1.7), ("per-packet", 1.25), ("stateful", 1.25)],
+        [
+            ("batch", 1.7),
+            ("batch-2-threads", 1.7),
+            ("per-packet", 1.25),
+            ("per-packet-2-threads", 1.25),
+            ("stateful", 1.25),
+            ("stateful-2-threads", 1.25),
+        ],
     )
     def test_peak_memory_near_one_output(self, standard_kernel, route, limit):
         # 8 x 100000 takes the blocked FFT path. A route that pads the whole
@@ -267,7 +270,13 @@ class TestPreallocatedOutput:
             "batch": lambda: filter_batch(sig, standard_kernel),
             "batch-2-threads": lambda: filter_batch(sig, standard_kernel, n_threads=2),
             "per-packet": lambda: filter_per_packet(sig, standard_kernel, plan),
+            "per-packet-2-threads": lambda: filter_per_packet(
+                sig, standard_kernel, plan, n_threads=2
+            ),
             "stateful": lambda: filter_stateful_stream(sig, standard_kernel, plan),
+            "stateful-2-threads": lambda: filter_stateful_stream(
+                sig, standard_kernel, plan, n_threads=2
+            ),
         }[route]
         run()  # warm-up: scipy.fft plans and caches are not part of the route
         tracemalloc.start()
@@ -277,6 +286,97 @@ class TestPreallocatedOutput:
         finally:
             tracemalloc.stop()
         assert peak <= limit * out.data.nbytes
+
+
+class TestThreads:
+    # Widths up to 1500 keep every example fast; the explicit 20000-sample
+    # example takes the blocked FFT path. Packets of 1 sample, tails and
+    # packets shorter than the kernel all come up. Thread counts above the
+    # channel count are capped, so 3 threads on 1 channel runs 1.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        channels=st.integers(1, 9),
+        samples=st.integers(1, 1500),
+        packet=st.one_of(st.just(1), st.integers(1, 150)),
+        length=st.sampled_from([1, 31, 99]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(channels=3, samples=20000, packet=4500, length=99, seed=0)
+    def test_thread_count_does_not_change_output(self, channels, samples, packet, length, seed):
+        sig = _random_signal(channels, samples, seed)
+        kernel = _identity_kernel() if length == 1 else _small_kernel(length)
+        plan = packetize(sig, packet)
+        routes = [
+            lambda n: filter_batch(sig, kernel, n_threads=n),
+            lambda n: filter_batch(sig, kernel, method="fft", n_threads=n),
+            lambda n: filter_batch(sig, kernel, method="direct", n_threads=n),
+            lambda n: filter_per_packet(sig, kernel, plan, n_threads=n),
+            lambda n: filter_stateful_stream(sig, kernel, plan, n_threads=n),
+        ]
+        for run in routes:
+            base = run(1).data
+            for threads in (None, 2, 3):
+                assert np.array_equal(run(threads).data, base)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """max_workers of every pool the routes build; 2 CPUs available."""
+        built, lookups = [], []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        def two_cpus(pid):
+            lookups.append(pid)
+            return {0, 1}
+
+        monkeypatch.setattr(filtering, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(filtering.os, "sched_getaffinity", two_cpus, raising=False)
+        monkeypatch.delenv("STREAMFILT_THREADS", raising=False)
+        return built, lookups
+
+    @staticmethod
+    def _routes(sig, kernel, packet, n_threads=None):
+        plan = packetize(sig, packet)
+        return {
+            "batch": lambda: filter_batch(sig, kernel, n_threads=n_threads),
+            "per-packet": lambda: filter_per_packet(sig, kernel, plan, n_threads=n_threads),
+            "stateful": lambda: filter_stateful_stream(sig, kernel, plan, n_threads=n_threads),
+        }
+
+    @staticmethod
+    def _above_floor():
+        return _random_signal(2, filtering._MIN_THREADED_WORK // 2, seed=30)
+
+    def test_live_packet_stays_on_the_callers_thread(self, pools, standard_kernel):
+        sig = _random_signal(59, 1024, seed=29)
+        for run in self._routes(sig, standard_kernel, 400).values():
+            run()
+        assert pools == ([], [])
+
+    @pytest.mark.parametrize("route", ["batch", "per-packet", "stateful"])
+    def test_above_the_floor_the_caller_and_one_worker_split(self, pools, route):
+        sig = self._above_floor()
+        kernel = _small_kernel(31)
+        out = self._routes(sig, kernel, 65536)[route]()
+        assert pools[0] == [1]
+        assert len(pools[1]) == 1
+        single = self._routes(sig, kernel, 65536, n_threads=1)[route]()
+        assert np.array_equal(out.data, single.data)
+
+    def test_env_of_one_builds_no_pool(self, pools, monkeypatch):
+        monkeypatch.setenv("STREAMFILT_THREADS", "1")
+        filter_batch(self._above_floor(), _small_kernel(31))
+        assert pools == ([], [])
+
+    @pytest.mark.parametrize("cpu_count,workers", [(2, [1]), (None, [])])
+    def test_fallback_without_sched_getaffinity(self, pools, monkeypatch, cpu_count, workers):
+        monkeypatch.delattr(filtering.os, "sched_getaffinity")
+        monkeypatch.setattr(filtering.os, "cpu_count", lambda: cpu_count)
+        filter_batch(self._above_floor(), _small_kernel(31))
+        assert pools[0] == workers
 
 
 @pytest.mark.parametrize("route", ["batch", "per-packet", "stateful"])
