@@ -25,6 +25,7 @@ whether the padding was built in advance.
 from __future__ import annotations
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from .errors import ValidationError
 
@@ -68,16 +69,30 @@ def reflect_pad(data: np.ndarray, pad: int) -> np.ndarray:
     return reflect_pad_columns(data, pad, 0, data.shape[1] + 2 * pad)
 
 
-def _convolve_valid_fft(data: np.ndarray, taps: np.ndarray, pad: int, out: np.ndarray) -> None:
-    # Imported here so that runs that never take the FFT engine (stateful,
-    # compare) do not pay for loading scipy.fft.
-    from scipy.fft import irfft, next_fast_len, rfft
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth number (2^a 3^b 5^c) >= n, for n >= 1.
 
+    These are the real-transform lengths pocketfft handles fastest; the
+    result equals scipy.fft.next_fast_len(n, real=True).
+    """
+    best = 1 << (n - 1).bit_length()
+    power5 = 1
+    while power5 < best:
+        odd = power5  # 3^b 5^c
+        while odd < best:
+            # The smallest odd * 2^k that reaches n.
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        power5 *= 5
+    return best
+
+
+def _convolve_valid_fft(data: np.ndarray, taps: np.ndarray, pad: int, out: np.ndarray) -> None:
     length = taps.size
     width = data.shape[1] + 2 * pad
     out_width = out.shape[1]
-    block = next_fast_len(max(_BLOCK_KERNEL_FACTOR * length, _BLOCK_MIN), real=True)
-    single = next_fast_len(width, real=True)
+    block = _next_fast_len(max(_BLOCK_KERNEL_FACTOR * length, _BLOCK_MIN))
+    single = _next_fast_len(width)
     if single <= 2 * block:
         # The padded record goes straight into the zero-filled transform
         # buffer, and the spectrum is filtered in place: short inputs (live

@@ -15,7 +15,7 @@ packets, seeds that state from the batch left padding and flushes with the
 right padding, so its output matches batch at every sample and is bitwise
 identical for any packetization of the same signal.
 
-Channels are independent, and np.convolve and scipy.fft release the GIL, so
+Channels are independent, and np.convolve and numpy.fft release the GIL, so
 every route splits its channels into contiguous blocks and filters them on
 threads, each block into its rows of the one output. Per-channel work does
 not depend on the grouping, so the output is bitwise the same for any

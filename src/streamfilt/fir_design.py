@@ -18,6 +18,9 @@ from ._fsio import atomic_write_text
 
 CSV_VERSION_LINE = "# streamfilt-bench v1"
 
+# Bytes of complex basis frequency_response builds per block of frequencies.
+_RESPONSE_BLOCK_BYTES = 1 << 22
+
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -142,7 +145,8 @@ def frequency_response(kernel: FirKernel, freqs_hz) -> np.ndarray:
     """Complex response H(f) = sum_k taps[k] exp(-2j pi f k / rate).
 
     Evaluated by direct summation at the requested frequencies, which must
-    lie in [0, Nyquist].
+    lie in [0, Nyquist], a block of frequencies at a time so that memory
+    stays bounded for any kernel length.
     """
     freqs = np.atleast_1d(np.asarray(freqs_hz, dtype=np.float64))
     if freqs.ndim != 1:
@@ -153,10 +157,13 @@ def frequency_response(kernel: FirKernel, freqs_hz) -> np.ndarray:
     if (freqs < 0).any() or (freqs > nyquist).any():
         raise ValidationError(f"freqs_hz must lie within [0, {nyquist}]")
     k = np.arange(kernel.length, dtype=np.float64)
-    basis = np.exp(
-        (-2j * np.pi / kernel.spec.sampling_rate_hz) * np.outer(freqs, k)
-    )
-    return basis @ kernel.taps
+    scale = -2j * np.pi / kernel.spec.sampling_rate_hz
+    response = np.empty(freqs.size, dtype=np.complex128)
+    rows = max(1, _RESPONSE_BLOCK_BYTES // (16 * kernel.length))
+    for start in range(0, freqs.size, rows):
+        basis = np.exp(scale * np.outer(freqs[start : start + rows], k))
+        response[start : start + rows] = basis @ kernel.taps
+    return response
 
 
 def export_taps_csv(kernel: FirKernel, path) -> None:

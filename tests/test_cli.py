@@ -368,17 +368,49 @@ class TestThreadsEnv:
         assert not (tmp_path / "o.json").exists()
 
 
+def _run_fresh(script, *args):
+    """Run script in a new interpreter that imports this checkout's streamfilt."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(streamfilt.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestImportCost:
     def test_cli_import_loads_no_scipy(self):
         script = "import json, sys, streamfilt.cli; print(json.dumps(sorted(sys.modules)))"
-        src = os.path.dirname(os.path.dirname(os.path.abspath(streamfilt.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
+        result = _run_fresh(script)
+        assert result.returncode == 0, result.stderr
         loaded = json.loads(result.stdout)
         assert [m for m in loaded if m.startswith("scipy")] == []
         assert "streamfilt.bench" in loaded
         assert "streamfilt.convolution" in loaded
+
+    @pytest.mark.parametrize("mode", ["batch", "per-packet"])
+    def test_filter_run_loads_no_scipy(self, capsys, tmp_path, mode):
+        # Both routes take the FFT engine here: 991 taps on 2000 samples,
+        # and on packets of 400.
+        base = tmp_path / "sig"
+        gen_small(capsys, base)
+        modules = tmp_path / "modules.json"
+        script = (
+            "import json, sys\n"
+            "from streamfilt.cli import main\n"
+            "code = main(sys.argv[2:])\n"
+            "with open(sys.argv[1], 'w') as f:\n"
+            "    json.dump(sorted(sys.modules), f)\n"
+            "sys.exit(code)\n"
+        )
+        result = _run_fresh(
+            script, str(modules),
+            "filter", "--in", str(base), "--out", str(tmp_path / "out"),
+            "--low", "2", "--high", "30", "--mode", mode, "--packet-size", "400",
+        )
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "out.f64").exists()
+        loaded = json.loads(modules.read_text())
+        assert "streamfilt.convolution" in loaded
+        assert [m for m in loaded if m.startswith("scipy")] == []

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from streamfilt import ValidationError
 from streamfilt.convolution import (
+    _next_fast_len,
     convolve_reflected,
     convolve_valid,
     reflect_pad,
@@ -74,3 +76,29 @@ class TestConvolveReflected:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
             convolve_reflected(np.zeros((1, 100)), np.ones(3), 1, np.empty((1, 100)), "fast")
+
+
+# Every 5-smooth number up to 2^25, sorted: the oracle for _next_fast_len.
+_SMOOTH = sorted(
+    2**a * 3**b * 5**c
+    for a in range(26)
+    for b in range(16)
+    for c in range(11)
+    if 2**a * 3**b * 5**c <= 2**25
+)
+
+
+class TestNextFastLen:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 2**24))
+    def test_smallest_5_smooth_at_least_n(self, n):
+        got = _next_fast_len(n)
+        assert got >= n
+        assert got in _SMOOTH
+        assert not [s for s in _SMOOTH if n <= s < got]
+
+    def test_equals_scipy_next_fast_len(self):
+        # The transform lengths, and so the FFT engine's output bytes, are
+        # the ones scipy.fft chose when the engine ran on it.
+        got = [_next_fast_len(n) for n in range(1, 2**17 + 1)]
+        assert got == [next_fast_len(n, real=True) for n in range(1, 2**17 + 1)]

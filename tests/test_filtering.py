@@ -278,7 +278,7 @@ class TestPreallocatedOutput:
                 sig, standard_kernel, plan, n_threads=2
             ),
         }[route]
-        run()  # warm-up: scipy.fft plans and caches are not part of the route
+        run()  # warm-up: numpy.fft's plan cache is not part of the route
         tracemalloc.start()
         try:
             out = run()

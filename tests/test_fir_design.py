@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
@@ -166,6 +168,30 @@ class TestFrequencyResponse:
 
     def test_scalar_input(self, standard_kernel):
         assert frequency_response(standard_kernel, 16.0).shape == (1,)
+
+    @pytest.mark.parametrize("length", [3, 991])
+    def test_blocks_match_one_shot_direct_sum(self, length):
+        # 1000 frequencies fill one block at 3 taps and four at 991.
+        kernel = design_bandpass(FilterSpec(2.0, 30.0, 600.614, length_override=length))
+        freqs = np.linspace(0.0, kernel.spec.nyquist_hz, 1000)
+        k = np.arange(kernel.length, dtype=np.float64)
+        direct = np.exp(
+            (-2j * np.pi / kernel.spec.sampling_rate_hz) * np.outer(freqs, k)
+        ) @ kernel.taps
+        np.testing.assert_allclose(frequency_response(kernel, freqs), direct, rtol=1e-12)
+
+    def test_long_kernel_memory_is_bounded(self):
+        # 198203 taps: a one-shot basis for 64 frequencies would be 203 MB.
+        kernel = design_bandpass(FilterSpec(0.01, 30.0, 600.614))
+        assert kernel.length == 198203
+        freqs = np.linspace(0.0, 60.0, 64)
+        tracemalloc.start()
+        try:
+            frequency_response(kernel, freqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 class TestExportTaps:
