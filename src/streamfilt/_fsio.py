@@ -1,13 +1,16 @@
-"""Atomic file writing helpers.
+"""Atomic file writing helpers, and the one CSV report format.
 
 Writes go to a temporary file in the destination directory followed by
-os.replace, so a reader never observes a half-written file.
+os.replace, so a reader never observes a half-written file. Every CSV the
+package writes starts with CSV_VERSION_LINE, then a header line.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+
+CSV_VERSION_LINE = "# streamfilt-bench v1"
 
 
 def atomic_write_bytes(path: str | os.PathLike[str], data) -> None:
@@ -29,3 +32,8 @@ def atomic_write_bytes(path: str | os.PathLike[str], data) -> None:
 
 def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_csv(path: str | os.PathLike[str], header: str, rows) -> None:
+    """Write CSV_VERSION_LINE, header and rows, each an already joined line."""
+    atomic_write_text(path, "\n".join([CSV_VERSION_LINE, header, *rows]) + "\n")

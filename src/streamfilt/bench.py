@@ -18,17 +18,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import StreamfiltError, ValidationError
-from ._fsio import atomic_write_text
-from .fidelity import FidelityReport, compare_channels
+from ._fsio import atomic_write_csv
+from .fidelity import FidelityReport, channel_rows, compare_channels
 from .filtering import (
     Batch,
     FilterMode,
     PerPacket,
     StatefulStream,
     apply_mode,
-    packetize,
+    mode_from_name,
 )
-from .fir_design import CSV_VERSION_LINE, FilterSpec, design_bandpass
+from .fir_design import FilterSpec, design_bandpass
 from .signal_core import SignalMatrix, replicate_signal
 
 
@@ -110,12 +110,6 @@ class TimingReport:
         )
 
 
-def _mode_packet_size(mode: FilterMode) -> int | None:
-    if isinstance(mode, (PerPacket, StatefulStream)):
-        return mode.plan.packet_size_samples
-    return None
-
-
 def time_filtering(
     signal: SignalMatrix,
     kernel,
@@ -124,7 +118,6 @@ def time_filtering(
     *,
     warmup: int = 3,
     clock=time.perf_counter,
-    label: str | None = None,
     method: str = "auto",
 ) -> TimingReport:
     """Time apply_mode over several repetitions of identical work.
@@ -156,8 +149,8 @@ def time_filtering(
         if gc_was_enabled:
             gc.enable()
     return TimingReport.from_samples(
-        config_label=label if label is not None else mode.describe(),
-        packet_size=_mode_packet_size(mode),
+        config_label=mode.describe(),
+        packet_size=mode.packet_size,
         samples=samples,
         checksum=checksum_matrix(out.data),
     )
@@ -169,7 +162,7 @@ class SweepConfig:
 
     filter_spec: FilterSpec
     packet_sizes: tuple[int, ...]
-    mode: str = "per-packet"
+    mode: str = PerPacket.name
     repetitions_accuracy: int = 2
     repetitions_timing: int = 20
     replicate_factor: int = 3
@@ -184,8 +177,10 @@ class SweepConfig:
             raise ValidationError(f"packet sizes must be >= 1, got {sizes}")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValidationError(f"packet sizes must be strictly increasing, got {sizes}")
-        if self.mode not in ("per-packet", "stateful"):
-            raise ValidationError(f"mode must be 'per-packet' or 'stateful', got {self.mode!r}")
+        if self.mode not in (PerPacket.name, StatefulStream.name):
+            raise ValidationError(
+                f"mode must be {PerPacket.name!r} or {StatefulStream.name!r}, got {self.mode!r}"
+            )
         if self.repetitions_accuracy < 1:
             raise ValidationError("repetitions_accuracy must be >= 1")
         if self.repetitions_timing < 2:
@@ -194,12 +189,6 @@ class SweepConfig:
             raise ValidationError("replicate_factor must be >= 1")
         if self.warmup < 0:
             raise ValidationError("warmup must be >= 0")
-
-
-def _streaming_mode(name: str, plan) -> FilterMode:
-    if name == "per-packet":
-        return PerPacket(plan)
-    return StatefulStream(plan)
 
 
 def run_sweep(
@@ -221,8 +210,7 @@ def run_sweep(
 
     fidelity_reports = []
     for size in config.packet_sizes:
-        plan = packetize(signal, size)
-        mode = _streaming_mode(config.mode, plan)
+        mode = mode_from_name(config.mode, signal, size)
         checksums = set()
         out = None
         for _ in range(config.repetitions_accuracy):
@@ -243,8 +231,7 @@ def run_sweep(
         )
     ]
     for size in config.packet_sizes:
-        plan = packetize(replicated, size)
-        mode = _streaming_mode(config.mode, plan)
+        mode = mode_from_name(config.mode, replicated, size)
         timing_reports.append(
             time_filtering(
                 replicated, kernel, mode, config.repetitions_timing, warmup=config.warmup
@@ -259,26 +246,22 @@ def write_sweep_fidelity_csv(
     """One row per packet size and channel: packet_size,channel,r,defined."""
     if len(packet_sizes) != len(reports):
         raise ValidationError("one fidelity report per packet size expected")
-    lines = [CSV_VERSION_LINE, "packet_size,channel,r,defined"]
-    for size, report in zip(packet_sizes, reports):
-        for label, value, flag in zip(
-            report.channel_labels, report.per_channel_r, report.defined
-        ):
-            r_text = repr(float(value)) if flag else ""
-            lines.append(f"{size},{label},{r_text},{'yes' if flag else 'no'}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (
+        f"{size},{row}"
+        for size, report in zip(packet_sizes, reports)
+        for row in channel_rows(report)
+    )
+    atomic_write_csv(path, "packet_size,channel,r,defined", rows)
 
 
 def write_sweep_timing_csv(reports: list[TimingReport], path) -> None:
     """One row per timed configuration, batch rows say 'batch'."""
-    lines = [
-        CSV_VERSION_LINE,
-        "config_label,packet_size_or_batch,repetitions,mean_s,ci95_halfwidth_s,checksum",
-    ]
+    rows = []
     for rep in reports:
         size_text = "batch" if rep.packet_size is None else str(rep.packet_size)
-        lines.append(
+        rows.append(
             f"{rep.config_label},{size_text},{rep.repetitions},"
             f"{rep.mean_s!r},{rep.ci95_halfwidth_s!r},{rep.checksum}"
         )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = "config_label,packet_size_or_batch,repetitions,mean_s,ci95_halfwidth_s,checksum"
+    atomic_write_csv(path, header, rows)

@@ -13,9 +13,9 @@ import json
 import os
 import shlex
 import sys
-from dataclasses import dataclass
 
 from . import __version__
+from ._fsio import CSV_VERSION_LINE
 from .errors import (
     CliUsageError,
     SignalFileError,
@@ -29,14 +29,16 @@ from .bench import (
     write_sweep_fidelity_csv,
     write_sweep_timing_csv,
 )
+from .convolution import METHODS
 from .fidelity import compare_channels, write_report_csv
 from .filtering import (
+    MODE_NAMES,
     Batch,
     PerPacket,
     StatefulStream,
     THREADS_ENV_VAR,
     apply_mode,
-    packetize,
+    mode_from_name,
 )
 from .fir_design import FilterSpec, design_bandpass, export_taps_csv
 from .signal_core import (
@@ -55,43 +57,8 @@ from .signal_core import (
 
 _VERSION_TEXT = (
     f"streamfilt {__version__} "
-    f"(signal format {FORMAT_VERSION}, csv format streamfilt-bench v1)"
+    f"(signal format {FORMAT_VERSION}, csv format {CSV_VERSION_LINE.lstrip('# ')})"
 )
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved invocation: subcommand, its options and the thread setting.
-
-    This is what gets echoed to stderr as JSON, one line per invocation.
-    """
-
-    command: str
-    options: dict
-    threads_env: str | None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "CliConfig":
-        options = {
-            key: value
-            for key, value in sorted(vars(args).items())
-            if key not in ("func", "command")
-        }
-        return cls(
-            command=args.command,
-            options=options,
-            threads_env=os.environ.get(THREADS_ENV_VAR),
-        )
-
-    def as_json_line(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "options": self.options,
-                "threads_env": self.threads_env,
-            },
-            sort_keys=True,
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,16 +119,19 @@ def _filter_spec(args: argparse.Namespace, sampling_rate_hz: float) -> FilterSpe
 
 
 def _echo_config(args: argparse.Namespace) -> None:
-    print(CliConfig.from_args(args).as_json_line(), file=sys.stderr)
+    """Echo the subcommand, its options and the thread setting as one JSON line."""
+    options = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    threads_env = os.environ.get(THREADS_ENV_VAR)
+    config = {"command": args.command, "options": options, "threads_env": threads_env}
+    print(json.dumps(config, sort_keys=True), file=sys.stderr)
 
 
-def _mode_from_args(args: argparse.Namespace, signal: SignalMatrix):
-    if args.mode == "batch":
-        return Batch()
-    plan = packetize(signal, args.packet_size)
-    if args.mode == "per-packet":
-        return PerPacket(plan)
-    return StatefulStream(plan)
+def _print_timing(report) -> None:
+    print(
+        f"{report.config_label}: mean={report.mean_s:.6f}s "
+        f"ci95=+/-{report.ci95_halfwidth_s:.6f}s reps={report.repetitions} "
+        f"checksum={report.checksum}"
+    )
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -204,7 +174,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
 def _cmd_filter(args: argparse.Namespace) -> int:
     signal = _load_input(args.input, args.rate)
     kernel = design_bandpass(_filter_spec(args, signal.info.sampling_rate_hz))
-    mode = _mode_from_args(args, signal)
+    mode = mode_from_name(args.mode, signal, args.packet_size)
     filtered = apply_mode(signal, kernel, mode, method=args.method)
     store_signal(filtered, args.out)
     print(
@@ -253,11 +223,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"min_r={report.min_r:.6f} max_r={report.max_r:.6f}"
         )
     for rep in timing_reports:
-        print(
-            f"{rep.config_label}: mean={rep.mean_s:.6f}s "
-            f"ci95=+/-{rep.ci95_halfwidth_s:.6f}s reps={rep.repetitions} "
-            f"checksum={rep.checksum}"
-        )
+        _print_timing(rep)
     print(f"wrote {fidelity_path} and {timing_path}")
     return 0
 
@@ -266,17 +232,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     signal = _load_input(args.input, args.rate)
     signal = replicate_signal(signal, args.replicate)
     kernel = design_bandpass(_filter_spec(args, signal.info.sampling_rate_hz))
-    mode = _mode_from_args(args, signal)
+    mode = mode_from_name(args.mode, signal, args.packet_size)
     report = time_filtering(
         signal, kernel, mode, args.reps, warmup=args.warmup, method=args.method
     )
     if args.out:
         write_sweep_timing_csv([report], args.out)
-    print(
-        f"{report.config_label}: mean={report.mean_s:.6f}s "
-        f"ci95=+/-{report.ci95_halfwidth_s:.6f}s reps={report.repetitions} "
-        f"checksum={report.checksum}"
-    )
+    _print_timing(report)
     return 0
 
 
@@ -286,6 +248,12 @@ def _add_band_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--length", type=int, default=None, help="odd kernel length (default: automatic)"
     )
+
+
+def _add_mode_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mode", choices=MODE_NAMES, default=Batch.name)
+    parser.add_argument("--packet-size", type=int, default=400)
+    parser.add_argument("--method", choices=METHODS, default="auto")
 
 
 def _add_input_option(parser: argparse.ArgumentParser) -> None:
@@ -326,11 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_option(p)
     _add_band_options(p)
     p.add_argument("--out", required=True, help="output base path")
-    p.add_argument(
-        "--mode", choices=("batch", "per-packet", "stateful"), default="batch"
-    )
-    p.add_argument("--packet-size", type=int, default=400)
-    p.add_argument("--method", choices=("auto", "direct", "fft"), default="auto")
+    _add_mode_options(p)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("compare", help="per-channel correlation of two signals")
@@ -345,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_option(p)
     _add_band_options(p)
     p.add_argument("--sizes", default="200,300,400,800,991,1200")
-    p.add_argument("--mode", choices=("per-packet", "stateful"), default="per-packet")
+    p.add_argument(
+        "--mode", choices=(PerPacket.name, StatefulStream.name), default=PerPacket.name
+    )
     p.add_argument("--reps-accuracy", type=int, default=2)
     p.add_argument("--reps-timing", type=int, default=20)
     p.add_argument("--replicate", type=int, default=3)
@@ -356,11 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time one filtering configuration")
     _add_input_option(p)
     _add_band_options(p)
-    p.add_argument(
-        "--mode", choices=("batch", "per-packet", "stateful"), default="batch"
-    )
-    p.add_argument("--packet-size", type=int, default=400)
-    p.add_argument("--method", choices=("auto", "direct", "fft"), default="auto")
+    _add_mode_options(p)
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--warmup", type=int, default=3)
     p.add_argument("--replicate", type=int, default=1)

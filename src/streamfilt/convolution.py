@@ -29,6 +29,9 @@ from numpy.fft import irfft, rfft
 
 from .errors import ValidationError
 
+# Engine names: "auto" picks "direct" or "fft" from the problem size.
+METHODS = ("auto", "direct", "fft")
+
 # Direct cost is roughly outputs * length multiplies per channel; below this
 # the FFT setup overhead dominates.
 _DIRECT_WORK_LIMIT = 4096
@@ -146,10 +149,10 @@ def convolve_reflected(
     expected = (data.shape[0], max(width - taps.size + 1, 0))
     if out.shape != expected:
         raise ValidationError(f"output shape {out.shape} does not match {expected}")
+    if method not in METHODS:
+        raise ValidationError(f"unknown convolution method {method!r}")
     if method == "auto":
         method = choose_method(width, taps.size)
-    if method not in ("direct", "fft"):
-        raise ValidationError(f"unknown convolution method {method!r}")
     if out.shape[1] == 0:
         return out
     if method == "fft":

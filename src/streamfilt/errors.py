@@ -2,8 +2,8 @@
 
 Every error raised by this package derives from StreamfiltError so callers
 can catch one base type. Validation problems additionally derive from
-ValueError, file problems from OSError semantics are kept separate under
-SignalFileError.
+ValueError. File problems derive from SignalFileError, not from OSError, so
+a caller can tell a malformed file from an operating-system failure.
 """
 
 from __future__ import annotations

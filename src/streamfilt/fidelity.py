@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import UndefinedCorrelationError, ValidationError
-from ._fsio import atomic_write_text
-from .fir_design import CSV_VERSION_LINE
+from ._fsio import atomic_write_csv
 from .signal_core import SignalMatrix
 
 
@@ -129,13 +129,17 @@ def compare_channels(
     )
 
 
-def write_report_csv(report: FidelityReport, path) -> None:
-    """Write per-channel rows plus min/median/max summary rows."""
-    lines = [CSV_VERSION_LINE, "channel,r,defined"]
+def channel_rows(report: FidelityReport) -> Iterator[str]:
+    """One channel,r,defined row per channel; r is empty where undefined."""
     for label, value, flag in zip(report.channel_labels, report.per_channel_r, report.defined):
         r_text = repr(float(value)) if flag else ""
-        lines.append(f"{label},{r_text},{'yes' if flag else 'no'}")
-    lines.append(f"min_r,{report.min_r!r},")
-    lines.append(f"median_r,{report.median_r!r},")
-    lines.append(f"max_r,{report.max_r!r},")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        yield f"{label},{r_text},{'yes' if flag else 'no'}"
+
+
+def write_report_csv(report: FidelityReport, path) -> None:
+    """Write per-channel rows plus min/median/max summary rows."""
+    rows = list(channel_rows(report))
+    rows.append(f"min_r,{report.min_r!r},")
+    rows.append(f"median_r,{report.median_r!r},")
+    rows.append(f"max_r,{report.max_r!r},")
+    atomic_write_csv(path, "channel,r,defined", rows)

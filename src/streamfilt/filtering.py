@@ -30,11 +30,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
-from .convolution import convolve_reflected, reflect_pad_columns
+from .convolution import METHODS, convolve_reflected, reflect_pad_columns
 from .errors import ValidationError
 from .fir_design import FirKernel
 from .signal_core import SignalMatrix
@@ -101,35 +101,60 @@ def packetize(signal: SignalMatrix, packet_size: int) -> PacketPlan:
     )
 
 
+class FilterMode:
+    """Base of the three filter modes: a name, and a packet plan (None for batch)."""
+
+    name: ClassVar[str]
+    plan: PacketPlan | None
+
+    @property
+    def packet_size(self) -> int | None:
+        return None if self.plan is None else self.plan.packet_size_samples
+
+    def describe(self) -> str:
+        return self.name if self.plan is None else f"{self.name}={self.packet_size}"
+
+
 @dataclass(frozen=True)
-class Batch:
+class Batch(FilterMode):
     """Filter the whole record at once."""
 
-    def describe(self) -> str:
-        return "batch"
+    name: ClassVar[str] = "batch"
+    plan: ClassVar[None] = None
 
 
 @dataclass(frozen=True)
-class PerPacket:
+class PerPacket(FilterMode):
     """Filter each packet independently, boundary artifacts included."""
 
+    name: ClassVar[str] = "per-packet"
     plan: PacketPlan
-
-    def describe(self) -> str:
-        return f"per-packet={self.plan.packet_size_samples}"
 
 
 @dataclass(frozen=True)
-class StatefulStream:
+class StatefulStream(FilterMode):
     """Filter packets with carried state, equivalent to batch."""
 
+    name: ClassVar[str] = "stateful"
     plan: PacketPlan
 
-    def describe(self) -> str:
-        return f"stateful={self.plan.packet_size_samples}"
+
+MODE_NAMES = (Batch.name, PerPacket.name, StatefulStream.name)
 
 
-FilterMode = Union[Batch, PerPacket, StatefulStream]
+def mode_from_name(name: str, signal: SignalMatrix, packet_size: int) -> FilterMode:
+    """The mode called name; the two streaming modes packetize signal.
+
+    An unknown name raises ValidationError.
+    """
+    if name == Batch.name:
+        return Batch()
+    for mode in (PerPacket, StatefulStream):
+        if name == mode.name:
+            return mode(packetize(signal, packet_size))
+    raise ValidationError(
+        f"unknown filter mode {name!r}, expected one of {', '.join(MODE_NAMES)}"
+    )
 
 
 def _check_compatible(signal: SignalMatrix, kernel: FirKernel) -> None:
@@ -317,13 +342,18 @@ def apply_mode(
 ) -> SignalMatrix:
     """Dispatch to the filtering front end named by mode.
 
-    method applies to batch and per-packet (the stream is always direct);
-    n_threads applies to every mode.
+    method applies to batch and per-packet; the stream always runs on the
+    direct engine, so it takes only "auto" or "direct". n_threads applies
+    to every mode.
     """
     if isinstance(mode, Batch):
         return filter_batch(signal, kernel, method=method, n_threads=n_threads)
     if isinstance(mode, PerPacket):
         return filter_per_packet(signal, kernel, mode.plan, method=method, n_threads=n_threads)
     if isinstance(mode, StatefulStream):
+        if method not in METHODS[:2]:
+            raise ValidationError(
+                f"the stateful stream runs on the direct engine, got method {method!r}"
+            )
         return filter_stateful_stream(signal, kernel, mode.plan, n_threads=n_threads)
     raise ValidationError(f"unknown filter mode {mode!r}")

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NyquistViolationError, ValidationError
-from ._fsio import atomic_write_text
-
-CSV_VERSION_LINE = "# streamfilt-bench v1"
+from ._fsio import atomic_write_csv
 
 # Bytes of complex basis frequency_response builds per block of frequencies.
 _RESPONSE_BLOCK_BYTES = 1 << 22
@@ -168,6 +166,5 @@ def frequency_response(kernel: FirKernel, freqs_hz) -> np.ndarray:
 
 def export_taps_csv(kernel: FirKernel, path) -> None:
     """Write taps as index,value rows with full float64 precision."""
-    lines = [CSV_VERSION_LINE, "index,tap"]
-    lines.extend(f"{i},{tap!r}" for i, tap in enumerate(kernel.taps.tolist()))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (f"{i},{tap!r}" for i, tap in enumerate(kernel.taps.tolist()))
+    atomic_write_csv(path, "index,tap", rows)

@@ -49,12 +49,23 @@ class TestGen:
         assert sig.info.sample_count == 2000
         assert "wrote 3 channels x 2000 samples" in out
 
-    def test_echoes_config_json(self, capsys, tmp_path):
-        _, err = gen_small(capsys, tmp_path / "sig")
+    def test_echoes_config_json(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("STREAMFILT_THREADS", raising=False)
+        base = tmp_path / "sig"
+        _, err = gen_small(capsys, base)
         config = json.loads(err.splitlines()[0])
         assert config["command"] == "gen"
         assert config["options"]["seed"] == 11
         assert config["options"]["channels"] == 3
+        assert list(config) == ["command", "options", "threads_env"]
+        # The whole line, byte for byte: keys sorted at every level.
+        options = (
+            '{"channels": 3, "components": null, "noise_sigma": 0.7, '
+            f'"out": {json.dumps(str(base))}, "rate": 600.614, "samples": 2000, "seed": 11}}'
+        )
+        assert err.splitlines()[0] == (
+            f'{{"command": "gen", "options": {options}, "threads_env": null}}'
+        )
 
     def test_repeat_runs_byte_identical(self, capsys, tmp_path):
         gen_small(capsys, tmp_path / "a")
@@ -173,6 +184,24 @@ class TestFilter:
         stateful = load_signal(tmp_path / "stateful").data
         assert not np.array_equal(per_packet, batch)
         assert np.abs(stateful - batch).max() <= 1e-9
+
+    def test_stateful_rejects_fft_method(self, capsys, tmp_path):
+        base = tmp_path / "sig"
+        gen_small(capsys, base)
+        code, out, err = run_cli(
+            capsys,
+            "filter", "--in", str(base), "--out", str(tmp_path / "o"),
+            "--low", "2", "--high", "30", "--length", "61",
+            "--mode", "stateful", "--method", "fft",
+        )
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 2  # the config echo, then the error
+        assert json.loads(lines[0])["options"]["method"] == "fft"
+        assert lines[1].startswith("error: ") and "direct engine" in lines[1]
+        assert out == ""
+        assert not (tmp_path / "o.f64").exists()
+        assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("damage,exit_code", [("long", 2), ("nan", 1)])
     def test_bad_payload_one_line_error(self, capsys, tmp_path, damage, exit_code):
@@ -306,6 +335,7 @@ class TestUsage:
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0
         assert "streamfilt 0.1.0" in out
+        assert "csv format streamfilt-bench v1" in out
 
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "bogus")

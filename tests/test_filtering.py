@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from streamfilt import filtering
 from streamfilt import (
+    MODE_NAMES,
     Batch,
     FilterSpec,
     FirKernel,
@@ -22,6 +23,7 @@ from streamfilt import (
     filter_batch,
     filter_per_packet,
     filter_stateful_stream,
+    mode_from_name,
     packetize,
 )
 from streamfilt.convolution import convolve_valid, reflect_pad
@@ -422,6 +424,43 @@ class TestApplyMode:
         sig = _random_signal(1, 100, seed=20)
         with pytest.raises(ValidationError):
             apply_mode(sig, _small_kernel(31), "batch")
+
+    @pytest.mark.parametrize(
+        "name,packet_size,described",
+        [
+            ("batch", None, "batch"),
+            ("per-packet", 400, "per-packet=400"),
+            ("stateful", 400, "stateful=400"),
+            # A packet size beyond the record clamps to one whole-record packet.
+            ("per-packet", 10**6, "per-packet=900"),
+            ("stateful", 10**6, "stateful=900"),
+        ],
+    )
+    def test_mode_from_name(self, name, packet_size, described):
+        sig = _random_signal(1, 900, seed=21)
+        mode = mode_from_name(name, sig, packet_size or 400)
+        assert mode.name == name
+        assert mode.packet_size == (None if packet_size is None else min(packet_size, 900))
+        assert mode.describe() == described
+
+    def test_mode_names_all_covered(self):
+        assert MODE_NAMES == ("batch", "per-packet", "stateful")
+
+    @pytest.mark.parametrize("name", ["bogus", "Batch", "per_packet", ""])
+    def test_mode_from_name_unknown(self, name):
+        with pytest.raises(ValidationError, match="unknown filter mode"):
+            mode_from_name(name, _random_signal(1, 100, seed=22), 400)
+
+    @pytest.mark.parametrize("method", ["fft", "bogus"])
+    def test_stateful_rejects_other_methods(self, method):
+        sig = _random_signal(2, 900, seed=23)
+        kernel = _small_kernel(61)
+        mode = StatefulStream(packetize(sig, 250))
+        with pytest.raises(ValidationError, match="direct engine"):
+            apply_mode(sig, kernel, mode, method=method)
+        expected = filter_stateful_stream(sig, kernel, mode.plan).data
+        for method in ("auto", "direct"):
+            assert np.array_equal(apply_mode(sig, kernel, mode, method=method).data, expected)
 
 
 class TestLengthPreservation:
