@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -30,6 +31,17 @@ FORMAT_VERSION = 1
 
 _HEADER_SUFFIX = ".json"
 _PAYLOAD_SUFFIX = ".f64"
+
+# Scratch bytes for one column block of synthetic generation: the block's
+# sin/cos basis and its product with the coefficients. Small enough to stay
+# in cache and to keep the peak near the record's own size for any number
+# of components.
+_SYNTH_BLOCK_BYTES = 1 << 17
+# BLAS kernels compute the last (width mod unroll) columns of a product in
+# another summation order. With every block a multiple of this many columns
+# those columns are the record's last ones whatever the block size, so the
+# bytes do not depend on it.
+_SYNTH_BLOCK_ALIGN = 64
 
 
 def default_labels(channel_count: int) -> tuple[str, ...]:
@@ -165,8 +177,15 @@ class SyntheticSpec:
         object.__setattr__(self, "components", tuple(self.components))
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValidationError(f"seed must fit in an unsigned 64-bit value, got {self.seed}")
+        try:
+            seed = None if isinstance(self.seed, bool) else operator.index(self.seed)
+        except TypeError:
+            seed = None
+        if seed is None or not 0 <= seed < 2**64:
+            raise ValidationError(
+                f"seed must be an integer that fits in an unsigned 64-bit value, got {self.seed!r}"
+            )
+        object.__setattr__(self, "seed", seed)
         nyquist = self.info.sampling_rate_hz / 2.0
         for comp in self.components:
             if comp.frequency_hz >= nyquist:
@@ -179,25 +198,51 @@ class SyntheticSpec:
 def generate_synthetic(spec: SyntheticSpec) -> SignalMatrix:
     """Render a SyntheticSpec into samples.
 
-    Deterministic for a given spec: components are summed in declaration
-    order, then Gaussian noise drawn from numpy's PCG64 generator seeded with
-    spec.seed is added. When noise_sigma is 0 the generator is not consumed
-    at all.
+    Deterministic for a given spec on one machine, whatever the BLAS thread
+    count. The record starts as Gaussian noise drawn from numpy's PCG64
+    generator seeded with spec.seed and scaled by noise_sigma; when
+    noise_sigma is 0 the generator is not consumed at all. The components
+    are then added through a sin(wt + phi) = a cos(phi) sin(wt) +
+    a sin(phi) cos(wt): one sin row and one cos row per component, times a
+    (channels x 2 components) coefficient matrix, block by block.
     """
     info = spec.info
-    n_ch, n_samp = info.channel_count, info.sample_count
-    t = np.arange(n_samp, dtype=np.float64) / info.sampling_rate_hz
-    data = np.zeros((n_ch, n_samp), dtype=np.float64)
-    channel_idx = np.arange(n_ch, dtype=np.float64)
-    for comp in spec.components:
-        phases = comp.phase_rad + channel_idx * comp.channel_phase_step_rad
-        data += comp.amplitude * np.sin(
-            2.0 * np.pi * comp.frequency_hz * t[np.newaxis, :] + phases[:, np.newaxis]
-        )
+    shape = (info.channel_count, info.sample_count)
     if spec.noise_sigma > 0:
-        rng = np.random.Generator(np.random.PCG64(spec.seed))
-        data += spec.noise_sigma * rng.standard_normal((n_ch, n_samp))
+        data = np.empty(shape, dtype=np.float64)
+        np.random.Generator(np.random.PCG64(spec.seed)).standard_normal(out=data)
+        data *= spec.noise_sigma
+    else:
+        data = np.zeros(shape, dtype=np.float64)
+    if spec.components:
+        _add_components(data, spec.components, info.sampling_rate_hz)
     return SignalMatrix._adopt(info, data)
+
+
+def _add_components(
+    data: np.ndarray, components: tuple[SineComponent, ...], sampling_rate_hz: float
+) -> None:
+    """Add every component to data in place, one column block at a time."""
+    n_ch, n_samp = data.shape
+    n_comp = len(components)
+    channel_idx = np.arange(n_ch, dtype=np.float64)
+    phases = np.array(
+        [comp.phase_rad + channel_idx * comp.channel_phase_step_rad for comp in components]
+    ).T
+    amplitudes = np.array([comp.amplitude for comp in components])
+    coef = np.hstack([amplitudes * np.cos(phases), amplitudes * np.sin(phases)])
+    omega = np.array([[2.0 * np.pi * comp.frequency_hz] for comp in components])
+    column_bytes = 8 * (2 * n_comp + n_ch)  # one basis column and one product column
+    width = max(1, _SYNTH_BLOCK_BYTES // column_bytes // _SYNTH_BLOCK_ALIGN) * _SYNTH_BLOCK_ALIGN
+    basis = np.empty((2 * n_comp, min(width, n_samp)), dtype=np.float64)
+    for start in range(0, n_samp, width):
+        stop = min(start + width, n_samp)
+        rows = basis[:, : stop - start]
+        t = np.arange(start, stop, dtype=np.float64) / sampling_rate_hz
+        np.multiply(omega, t, out=rows[:n_comp])
+        np.cos(rows[:n_comp], out=rows[n_comp:])
+        np.sin(rows[:n_comp], out=rows[:n_comp])
+        data[:, start:stop] += coef @ rows
 
 
 def broadband_spec(

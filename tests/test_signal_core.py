@@ -3,6 +3,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +124,19 @@ class TestSyntheticSpec:
         with pytest.raises(ValidationError):
             SineComponent(frequency_hz=0.0, amplitude=1.0)
 
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", [True, 1.5, 3.0, "3", -1, 2**64])
+    def test_bad_seed_rejected(self, seed, noise_sigma):
+        with pytest.raises(ValidationError):
+            SyntheticSpec(info=_info(), components=(), noise_sigma=noise_sigma, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        seed = 2**64 - 5
+        spec = SyntheticSpec(info=_info(), components=(), noise_sigma=1.0, seed=np.uint64(seed))
+        assert spec.seed == seed and type(spec.seed) is int
+        plain = SyntheticSpec(info=_info(), components=(), noise_sigma=1.0, seed=seed)
+        assert np.array_equal(generate_synthetic(spec).data, generate_synthetic(plain).data)
+
 
 class TestGenerateSynthetic:
     def test_single_tone_matches_closed_form(self):
@@ -170,6 +186,80 @@ class TestGenerateSynthetic:
         b = generate_synthetic(spec_other_seed)
         # without noise the seed must not matter at all
         assert np.array_equal(a.data, b.data)
+
+    def test_broadband_matches_textbook_sum(self):
+        # Full duration, so w t reaches about 87,000 rad at 50 Hz.
+        spec = broadband_spec(channel_count=3, noise_sigma=0.0)
+        sig = generate_synthetic(spec)
+        t = np.arange(spec.info.sample_count) / spec.info.sampling_rate_hz
+        for ch in range(3):
+            expected = np.zeros(spec.info.sample_count)
+            for comp in spec.components:
+                phase = comp.phase_rad + ch * comp.channel_phase_step_rad
+                expected += comp.amplitude * np.sin(2.0 * np.pi * comp.frequency_hz * t + phase)
+            assert np.abs(sig.data[ch] - expected).max() <= 1e-10
+
+    def test_no_components_is_scaled_standard_normal(self):
+        info = _info(channels=3, samples=1001)
+        sig = generate_synthetic(SyntheticSpec(info=info, components=(), noise_sigma=0.7, seed=5))
+        rng = np.random.Generator(np.random.PCG64(5))
+        assert np.array_equal(sig.data, 0.7 * rng.standard_normal((3, 1001)))
+
+    @pytest.mark.parametrize("block_bytes", [1000, 10**9])
+    def test_bytes_independent_of_block_size(self, monkeypatch, block_bytes):
+        # 5 channels take blocks of 832 columns by default: 12 whole blocks
+        # and a 37-column tail. 1000 bytes gives 64-column blocks, 10**9 one
+        # block for the whole record.
+        spec = broadband_spec(channel_count=5, sample_count=12 * 832 + 37, seed=4)
+        default = generate_synthetic(spec).data
+        monkeypatch.setattr(signal_core, "_SYNTH_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(generate_synthetic(spec).data, default)
+
+    def test_bytes_independent_of_blas_threads(self):
+        script = (
+            "import streamfilt as sf\n"
+            "spec = sf.broadband_spec(sample_count=20000, seed=9)\n"
+            "print(sf.checksum_matrix(sf.generate_synthetic(spec).data))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(signal_core.__file__)))
+        sums = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            sums.append(result.stdout.strip())
+        assert len(sums[0]) == 8 and sums[0] == sums[1]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            broadband_spec(channel_count=8, sample_count=100000, seed=2),
+            SyntheticSpec(
+                info=_info(rate=600.614, channels=2, samples=100000),
+                components=tuple(
+                    SineComponent(frequency_hz=1.0 + 2.5 * i, amplitude=1.0, phase_rad=0.1 * i)
+                    for i in range(100)
+                ),
+                noise_sigma=0.5,
+                seed=2,
+            ),
+        ],
+        ids=["broadband", "100-components"],
+    )
+    def test_peak_memory_near_record_size(self, spec):
+        # The second case would need a 2 x 100 x 100000 basis, 100 times
+        # the record, if the basis spanned the whole record.
+        tracemalloc.start()
+        try:
+            sig = generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * sig.data.nbytes
 
     def test_broadband_default_geometry(self):
         spec = broadband_spec()
