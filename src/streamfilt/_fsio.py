@@ -9,18 +9,24 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
+from typing import BinaryIO, Iterator
 
 CSV_VERSION_LINE = "# streamfilt-bench v1"
 
 
-def atomic_write_bytes(path: str | os.PathLike[str], data) -> None:
-    """Write data, any C-contiguous buffer (bytes or a numpy array, say), as is."""
+@contextmanager
+def atomic_open(path: str | os.PathLike[str]) -> Iterator[BinaryIO]:
+    """A binary file handle whose contents replace path when the block ends.
+
+    On any exception the temporary file is removed and path is untouched.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -28,6 +34,12 @@ def atomic_write_bytes(path: str | os.PathLike[str], data) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_bytes(path: str | os.PathLike[str], data) -> None:
+    """Write data, any C-contiguous buffer (bytes or a numpy array, say), as is."""
+    with atomic_open(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:

@@ -4,6 +4,15 @@ Subcommands: gen, design, filter, compare, sweep, bench. Every invocation
 echoes its resolved options as one JSON line on stderr before doing any
 work, so runs are auditable from captured logs. Exit code 0 means success,
 1 a usage or validation problem, 2 an I/O problem.
+
+filter and compare stream a stored record through its channel blocks
+(signal_core.channel_blocks): every route and the Pearson score treat each
+channel on its own, so the output bytes and the report are those of the
+whole record, while a run holds only the current block of input and its
+block of output (for compare, one block of each input). Every header and
+payload size is checked before the first block is read, and a failure in
+any block leaves no output file. A .csv input is parsed whole, as one
+block. sweep and bench load the whole record.
 """
 
 from __future__ import annotations
@@ -13,6 +22,9 @@ import json
 import os
 import shlex
 import sys
+from contextlib import contextmanager
+
+import numpy as np
 
 from . import __version__
 from ._fsio import CSV_VERSION_LINE
@@ -30,28 +42,31 @@ from .bench import (
     write_sweep_timing_csv,
 )
 from .convolution import METHODS
-from .fidelity import compare_channels, write_report_csv
+from .fidelity import channel_report, correlate_rows, write_report_csv
 from .filtering import (
     MODE_NAMES,
     Batch,
+    FilterMode,
     PerPacket,
     StatefulStream,
     THREADS_ENV_VAR,
     apply_mode,
     mode_from_name,
 )
-from .fir_design import FilterSpec, design_bandpass, export_taps_csv
+from .fir_design import FilterSpec, FirKernel, design_bandpass, export_taps_csv
 from .signal_core import (
     FORMAT_VERSION,
     SineComponent,
     SignalInfo,
     SignalMatrix,
+    SignalReader,
     SyntheticSpec,
     broadband_spec,
+    channel_blocks,
     generate_synthetic,
-    load_signal,
     load_signal_csv,
     replicate_signal,
+    signal_writer,
     store_signal,
 )
 
@@ -101,12 +116,28 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         raise ValidationError(f"sizes must be comma-separated integers, got {text!r}") from None
 
 
-def _load_input(path: str, csv_rate: float | None) -> SignalMatrix:
+@contextmanager
+def _open_input(path: str, csv_rate: float | None):
+    """Yield (info, read, blocks) for an input path.
+
+    read(start, stop) returns channels [start, stop) as a SignalMatrix, and
+    blocks lists the (start, stop) ranges to read it by: the channel blocks
+    of a stored record, and the whole record for a .csv input, which is
+    parsed whole.
+    """
     if path.endswith(".csv"):
         if csv_rate is None:
             raise ValidationError("--rate is required when reading a .csv input")
-        return load_signal_csv(path, csv_rate)
-    return load_signal(path)
+        signal = load_signal_csv(path, csv_rate)
+        yield signal.info, lambda start, stop: signal, [(0, signal.info.channel_count)]
+        return
+    with SignalReader(path) as reader:
+        yield reader.info, reader.read, channel_blocks(reader.info)
+
+
+def _load_input(path: str, csv_rate: float | None) -> SignalMatrix:
+    with _open_input(path, csv_rate) as (info, read, _):
+        return read(0, info.channel_count)
 
 
 def _filter_spec(args: argparse.Namespace, sampling_rate_hz: float) -> FilterSpec:
@@ -172,24 +203,42 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    signal = _load_input(args.input, args.rate)
-    kernel = design_bandpass(_filter_spec(args, signal.info.sampling_rate_hz))
-    mode = mode_from_name(args.mode, signal, args.packet_size)
-    filtered = apply_mode(signal, kernel, mode, method=args.method)
-    store_signal(filtered, args.out)
+    with _open_input(args.input, args.rate) as (info, read, blocks):
+        kernel = design_bandpass(_filter_spec(args, info.sampling_rate_hz))
+        with signal_writer(args.out, info) as write:
+            for start, stop in blocks:
+                # Read as an argument, so the block is freed when the call
+                # returns, before the next one is read.
+                mode = _filter_block(read(start, stop), kernel, args, write)
     print(
-        f"filtered {signal.info.channel_count} channels x "
-        f"{signal.info.sample_count} samples in mode {mode.describe()} "
-        f"with {kernel.length} taps -> {args.out}"
+        f"filtered {info.channel_count} channels x {info.sample_count} samples "
+        f"in mode {mode.describe()} with {kernel.length} taps -> {args.out}"
     )
     return 0
 
 
+def _filter_block(
+    block: SignalMatrix, kernel: FirKernel, args: argparse.Namespace, write
+) -> FilterMode:
+    """Filter one channel block in the mode args name, write it, and return the mode."""
+    mode = mode_from_name(args.mode, block, args.packet_size)
+    write(apply_mode(block, kernel, mode, method=args.method).data)
+    return mode
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
-    ref = _load_input(args.a, args.rate)
-    cand = _load_input(args.b, args.rate)
     label = args.label or f"{os.path.basename(args.a)}-vs-{os.path.basename(args.b)}"
-    report = compare_channels(ref, cand, config_label=label)
+    with _open_input(args.a, args.rate) as (info, read_a, blocks_a), _open_input(
+        args.b, args.rate
+    ) as (info_b, read_b, blocks_b):
+        if info != info_b:
+            raise ValidationError("signals differ in geometry or labeling, cannot compare")
+        parts = [
+            correlate_rows(read_a(start, stop).data, read_b(start, stop).data)
+            for start, stop in min(blocks_a, blocks_b, key=len)
+        ]
+    r, defined = (np.concatenate(column) for column in zip(*parts))
+    report = channel_report(label, info.channel_labels, r, defined)
     if args.out:
         write_report_csv(report, args.out)
     print(

@@ -108,22 +108,45 @@ def compare_channels(
     """
     if reference.info != candidate.info:
         raise ValidationError("signals differ in geometry or labeling, cannot compare")
-    n_ch = reference.info.channel_count
+    r, defined = correlate_rows(reference.data, candidate.data)
+    return channel_report(config_label, reference.info.channel_labels, r, defined)
+
+
+def correlate_rows(
+    reference: np.ndarray, candidate: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """compare_channels' per-channel loop: the Pearson r of each pair of
+    rows (NaN where undefined) and whether it is defined.
+
+    A caller that reads a record in channel blocks runs this per block and
+    passes the joined results to channel_report.
+    """
+    n_ch = reference.shape[0]
     r = np.full(n_ch, np.nan)
     defined = np.zeros(n_ch, dtype=bool)
     for ch in range(n_ch):
         try:
-            r[ch] = pearson(reference.data[ch], candidate.data[ch])
+            r[ch] = pearson(reference[ch], candidate[ch])
             defined[ch] = True
         except UndefinedCorrelationError:
             pass
-    if not defined.any():
+    return r, defined
+
+
+def channel_report(
+    config_label: str, channel_labels, r: np.ndarray, defined: np.ndarray
+) -> FidelityReport:
+    """The report of a whole record's per-channel r and defined flags.
+
+    Raises UndefinedCorrelationError if no channel is defined.
+    """
+    if not np.any(defined):
         raise UndefinedCorrelationError(
-            f"all {n_ch} channels have undefined correlation for {config_label!r}"
+            f"all {len(defined)} channels have undefined correlation for {config_label!r}"
         )
     return FidelityReport(
         config_label=config_label,
-        channel_labels=reference.info.channel_labels,
+        channel_labels=channel_labels,
         per_channel_r=r,
         defined=defined,
     )

@@ -34,7 +34,7 @@ from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
-from .convolution import METHODS, convolve_reflected, reflect_pad_columns
+from .convolution import METHODS, ReflectedConvolver, convolve_reflected, reflect_pad_columns
 from .errors import ValidationError
 from .fir_design import FirKernel
 from .signal_core import SignalMatrix
@@ -275,10 +275,15 @@ def filter_per_packet(
     delay = kernel.group_delay_samples
 
     def fill(data: np.ndarray, out: np.ndarray) -> None:
+        # One convolver per packet length (the packet size and the tail),
+        # and per thread, since each holds its own transform buffer.
+        convolvers: dict[int, ReflectedConvolver] = {}
         for start, stop in plan.slices():
-            convolve_reflected(
-                data[:, start:stop], kernel.taps, delay, out[:, start:stop], method
-            )
+            size = stop - start
+            if size not in convolvers:
+                shape = (data.shape[0], size)
+                convolvers[size] = ReflectedConvolver(shape, kernel.taps, delay, method)
+            convolvers[size](data[:, start:stop], out[:, start:stop])
 
     return _filter_channel_blocks(signal, n_threads, fill)
 

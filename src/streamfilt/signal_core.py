@@ -4,6 +4,15 @@ A signal is a (channel_count, sample_count) float64 matrix plus metadata.
 Stored form is a pair of files sharing one base name: <base>.json holds the
 header, <base>.f64 holds the payload as little-endian float64 in channel-major
 order (channel 0 complete, then channel 1, ...).
+
+Because the payload is channel-major, a run of channels is one contiguous
+run of bytes, so a record can be read and written by channel blocks:
+SignalReader checks the header and the payload size up front and then reads
+any channel range into a fresh array, validated on its own; signal_writer
+appends channel blocks to an atomic temporary file. load_signal and
+store_signal are their one-block cases. channel_blocks splits a record into
+the fewest equal blocks of at most _BLOCK_CHANNEL_SAMPLES channel-samples,
+so a caller that filters channel by channel holds one block at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +22,9 @@ import json
 import math
 import operator
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -25,12 +36,20 @@ from .errors import (
     SignalFileMissingError,
     ValidationError,
 )
-from ._fsio import atomic_write_bytes, atomic_write_text
+from ._fsio import atomic_open, atomic_write_text
 
 FORMAT_VERSION = 1
 
 _HEADER_SUFFIX = ".json"
 _PAYLOAD_SUFFIX = ".f64"
+
+# Elements per np.isfinite call when validating, so that validation never
+# builds a bool mask the size of the record: 64 KiB of mask for any record.
+_FINITE_CHUNK = 1 << 16
+# Channel-samples in one block of a record read or written by channel
+# blocks (channel_blocks). Twice filtering's threading floor, so each of the
+# 20/20/19-channel blocks of the default record still splits across CPUs.
+_BLOCK_CHANNEL_SAMPLES = 1 << 22
 
 # Scratch bytes for one column block of synthetic generation: the block's
 # sin/cos basis and its product with the coefficients. Small enough to stay
@@ -104,8 +123,10 @@ def _validated(info: SignalInfo, data: np.ndarray) -> np.ndarray:
     expected = (info.channel_count, info.sample_count)
     if arr.shape != expected:
         raise ValidationError(f"data shape {arr.shape} does not match info {expected}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("signal data contains non-finite samples")
+    flat = arr.reshape(-1)
+    for start in range(0, flat.size, _FINITE_CHUNK):
+        if not np.isfinite(flat[start : start + _FINITE_CHUNK]).all():
+            raise ValidationError("signal data contains non-finite samples")
     arr.setflags(write=False)
     return arr
 
@@ -304,30 +325,141 @@ def _base_path(path: str | os.PathLike[str]) -> str:
     return base
 
 
-def store_signal(signal: SignalMatrix, path: str | os.PathLike[str]) -> None:
-    """Write <base>.json and <base>.f64 atomically.
+def channel_blocks(info: SignalInfo) -> list[tuple[int, int]]:
+    """(start, stop) channel ranges that split a record into the fewest
+    blocks of at most _BLOCK_CHANNEL_SAMPLES channel-samples, as equal as
+    they can be, larger blocks first.
 
-    The payload is exactly channel_count * sample_count * 8 bytes of
-    little-endian float64, channel-major.
+    A channel longer than that limit is a block of its own.
+    """
+    most = max(1, min(info.channel_count, _BLOCK_CHANNEL_SAMPLES // info.sample_count))
+    count = -(-info.channel_count // most)
+    size, extra = divmod(info.channel_count, count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+@contextmanager
+def signal_writer(
+    path: str | os.PathLike[str], info: SignalInfo
+) -> Iterator[Callable[[np.ndarray], None]]:
+    """Write a record of geometry info as <base>.f64 and <base>.json, by channel blocks.
+
+    Yields write(rows), which appends the next channels, a
+    (channels, sample_count) array, to the payload: little-endian float64,
+    channel-major, channel_count * sample_count * 8 bytes in all. The
+    payload goes to a temporary file, which replaces <base>.f64 only when
+    the block ends without an exception and every channel has been written;
+    the header follows it. On an exception neither file is written.
     """
     base = _base_path(path)
+    written = 0
+
+    def write(rows: np.ndarray) -> None:
+        nonlocal written
+        if (
+            rows.ndim != 2
+            or rows.shape[1] != info.sample_count
+            or written + rows.shape[0] > info.channel_count
+        ):
+            raise ValidationError(
+                f"rows of shape {rows.shape} do not fit after {written} of "
+                f"{info.channel_count} channels of {info.sample_count} samples"
+            )
+        fh.write(np.ascontiguousarray(rows, dtype="<f8"))
+        written += rows.shape[0]
+
+    with atomic_open(base + _PAYLOAD_SUFFIX) as fh:
+        yield write
+        if written != info.channel_count:
+            raise ValidationError(f"wrote {written} of {info.channel_count} channels")
     header = {
         "format_version": FORMAT_VERSION,
-        "sampling_rate_hz": signal.info.sampling_rate_hz,
-        "channel_count": signal.info.channel_count,
-        "sample_count": signal.info.sample_count,
-        "channel_labels": list(signal.info.channel_labels),
+        "sampling_rate_hz": info.sampling_rate_hz,
+        "channel_count": info.channel_count,
+        "sample_count": info.sample_count,
+        "channel_labels": list(info.channel_labels),
     }
-    payload = np.ascontiguousarray(signal.data, dtype="<f8")
     atomic_write_text(base + _HEADER_SUFFIX, json.dumps(header, sort_keys=True) + "\n")
-    atomic_write_bytes(base + _PAYLOAD_SUFFIX, payload)
+
+
+def store_signal(signal: SignalMatrix, path: str | os.PathLike[str]) -> None:
+    """Write <base>.f64 and <base>.json atomically; signal_writer's one-block case."""
+    with signal_writer(path, signal.info) as write:
+        write(signal.data)
+
+
+class SignalReader:
+    """A record written by store_signal or signal_writer, open for reading
+    by channel blocks.
+
+    Opening reads and checks the header and checks the payload size against
+    it before any sample is read, so a header that claims a huge geometry
+    fails fast instead of exhausting memory. read(start, stop) reads
+    channels [start, stop) straight into a fresh array and validates them
+    on their own. Use it as a context manager, or call close().
+    """
+
+    def __init__(self, path: str | os.PathLike[str]) -> None:
+        base = _base_path(path)
+        self.info = _read_header(base + _HEADER_SUFFIX)
+        self.payload_path = base + _PAYLOAD_SUFFIX
+        try:
+            self._fh = open(self.payload_path, "rb")
+        except FileNotFoundError:
+            raise SignalFileMissingError(f"payload file not found: {self.payload_path}") from None
+        expected = self.info.channel_count * self.info.sample_count * 8
+        size = os.fstat(self._fh.fileno()).st_size
+        if size != expected:
+            self._fh.close()
+            raise PayloadSizeError(
+                f"payload {self.payload_path} holds {size} bytes, header implies {expected}"
+            )
+
+    def read(self, start: int, stop: int) -> SignalMatrix:
+        """Channels [start, stop) of the record, bit exact."""
+        info = self.info
+        if not 0 <= start < stop <= info.channel_count:
+            raise ValidationError(
+                f"channels [{start}, {stop}) are not within the record's {info.channel_count}"
+            )
+        data = np.empty((stop - start, info.sample_count), dtype="<f8")
+        self._fh.seek(start * info.sample_count * 8)
+        read = self._fh.readinto(data)
+        if read != data.nbytes:
+            raise PayloadSizeError(
+                f"payload {self.payload_path} changed while reading: got {read} bytes "
+                f"of channels [{start}, {stop}), header implies {data.nbytes}"
+            )
+        if stop - start < info.channel_count:
+            info = SignalInfo(
+                sampling_rate_hz=info.sampling_rate_hz,
+                channel_count=stop - start,
+                sample_count=info.sample_count,
+                channel_labels=info.channel_labels[start:stop],
+            )
+        return SignalMatrix._adopt(info, data)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "SignalReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def load_signal(path: str | os.PathLike[str]) -> SignalMatrix:
-    """Read a signal written by store_signal. Round-trips bit exactly."""
-    base = _base_path(path)
-    header_path = base + _HEADER_SUFFIX
-    payload_path = base + _PAYLOAD_SUFFIX
+    """Read a signal written by store_signal; SignalReader's one-block case.
+
+    Round-trips bit exactly.
+    """
+    with SignalReader(path) as reader:
+        return reader.read(0, reader.info.channel_count)
+
+
+def _read_header(header_path: str) -> SignalInfo:
     try:
         with open(header_path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -348,34 +480,12 @@ def load_signal(path: str | os.PathLike[str]) -> SignalMatrix:
     missing = [key for key in required if key not in header]
     if missing:
         raise HeaderFormatError(f"header missing fields {missing} in {header_path}")
-    info = SignalInfo(
+    return SignalInfo(
         sampling_rate_hz=_header_rate(header, header_path),
         channel_count=_header_int(header, "channel_count", header_path),
         sample_count=_header_int(header, "sample_count", header_path),
         channel_labels=_header_labels(header, header_path),
     )
-    expected_bytes = info.channel_count * info.sample_count * 8
-    try:
-        fh = open(payload_path, "rb")
-    except FileNotFoundError:
-        raise SignalFileMissingError(f"payload file not found: {payload_path}") from None
-    with fh:
-        # The size is checked before anything is allocated, so a header
-        # that claims a huge geometry fails fast instead of exhausting memory.
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected_bytes:
-            raise PayloadSizeError(
-                f"payload {payload_path} holds {size} bytes, header implies {expected_bytes}"
-            )
-        payload = bytearray(expected_bytes)
-        read = fh.readinto(payload)
-    if read != expected_bytes:
-        raise PayloadSizeError(
-            f"payload {payload_path} changed while reading: got {read} bytes, "
-            f"header implies {expected_bytes}"
-        )
-    data = np.frombuffer(payload, dtype="<f8").reshape(info.channel_count, info.sample_count)
-    return SignalMatrix._adopt(info, data)
 
 
 def _header_int(header: dict, key: str, header_path: str) -> int:

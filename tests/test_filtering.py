@@ -26,7 +26,7 @@ from streamfilt import (
     mode_from_name,
     packetize,
 )
-from streamfilt.convolution import convolve_valid, reflect_pad
+from streamfilt.convolution import METHODS, convolve_reflected, convolve_valid, reflect_pad
 
 from conftest import make_signal
 
@@ -200,6 +200,54 @@ class TestFilterPerPacket:
         out = filter_per_packet(sig, kernel, packetize(sig, 991))
         assert out.data.shape == (2, 1000)
         assert np.isfinite(out.data).all()
+
+    # Generated plans hold 1-sample packets, tails, and packets both shorter
+    # than the group delay (the reflection wraps) and longer. The examples add
+    # packets longer than two overlap-save blocks of 4096 columns, and a tail.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        channels=st.integers(1, 4),
+        samples=st.integers(1, 1200),
+        packet=st.one_of(st.just(1), st.integers(1, 400)),
+        length=st.sampled_from([1, 31, 99]),
+        method=st.sampled_from(METHODS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(channels=2, samples=20000, packet=9000, length=31, method="fft", seed=0)
+    @example(channels=2, samples=20000, packet=9000, length=99, method="auto", seed=1)
+    @example(channels=1, samples=1000, packet=1, length=99, method="fft", seed=2)
+    def test_bitwise_equal_to_one_call_per_packet(
+        self, channels, samples, packet, length, method, seed
+    ):
+        sig = _random_signal(channels, samples, seed)
+        kernel = _identity_kernel() if length == 1 else _small_kernel(length)
+        plan = packetize(sig, packet)
+        out = filter_per_packet(sig, kernel, plan, method=method)
+        expected = np.empty_like(sig.data)
+        for start, stop in plan.slices():
+            convolve_reflected(
+                sig.data[:, start:stop],
+                kernel.taps,
+                kernel.group_delay_samples,
+                expected[:, start:stop],
+                method,
+            )
+        assert np.array_equal(out.data, expected)
+        # And against np.pad and np.convolve, which share no code with the engine.
+        delay = kernel.group_delay_samples
+        oracle = np.concatenate(
+            [
+                np.array(
+                    [np.convolve(np.pad(row, delay, mode="reflect"), kernel.taps, "valid")
+                     for row in sig.data[:, start:stop]]
+                )
+                for start, stop in plan.slices()
+            ],
+            axis=1,
+        )
+        if method == "direct":
+            assert np.array_equal(out.data, oracle)
+        assert np.abs(out.data - oracle).max() <= 1e-12 * max(np.abs(oracle).max(), 1.0)
 
     def test_plan_must_cover_signal(self):
         sig = _random_signal(1, 1000, seed=14)

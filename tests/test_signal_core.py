@@ -80,6 +80,31 @@ class TestSignalMatrix:
         with pytest.raises(ValidationError):
             SignalMatrix(info=_info(channels=2, samples=5), data=data)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "position", [0, signal_core._FINITE_CHUNK - 1, signal_core._FINITE_CHUNK, -1]
+    )
+    def test_rejects_non_finite_in_any_chunk(self, bad, position):
+        # Three rows of 50000 span three validation chunks; the positions
+        # are the first sample, both sides of a chunk edge and the last.
+        data = np.zeros((3, 50000))
+        data.reshape(-1)[position] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            SignalMatrix(info=_info(channels=3, samples=50000), data=data)
+
+    def test_validation_builds_no_record_sized_mask(self):
+        # 8 x 200000 is 12.8 MB of samples, so a whole-record np.isfinite
+        # mask would be 1.6 MB.
+        info = _info(channels=8, samples=200000)
+        data = np.ones((8, 200000))
+        tracemalloc.start()
+        try:
+            signal_core._validated(info, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= data.size // 16
+
     def test_data_is_read_only(self):
         sig = SignalMatrix(info=_info(channels=1, samples=4), data=np.zeros((1, 4)))
         with pytest.raises(ValueError):
@@ -288,6 +313,73 @@ class TestReplicate:
             replicate_signal(sig, 0)
 
 
+class TestChannelBlocks:
+    @pytest.mark.parametrize(
+        "channels,samples,limit,expected",
+        [
+            (59, 166800, 2**22, [(0, 20), (20, 40), (40, 59)]),
+            (4, 1000, 2**22, [(0, 4)]),
+            (5, 100, 200, [(0, 2), (2, 4), (4, 5)]),
+            (3, 100, 100, [(0, 1), (1, 2), (2, 3)]),
+            (3, 1000, 100, [(0, 1), (1, 2), (2, 3)]),  # a channel beyond the limit
+        ],
+    )
+    def test_fewest_equal_blocks(self, monkeypatch, channels, samples, limit, expected):
+        monkeypatch.setattr(signal_core, "_BLOCK_CHANNEL_SAMPLES", limit)
+        assert signal_core.channel_blocks(_info(channels=channels, samples=samples)) == expected
+
+
+class TestBlockReadWrite:
+    def test_blocks_read_back_the_stored_rows(self, tmp_path):
+        sig = generate_synthetic(broadband_spec(channel_count=5, sample_count=300, seed=4))
+        store_signal(sig, tmp_path / "rec")
+        with signal_core.SignalReader(tmp_path / "rec") as reader:
+            assert reader.info == sig.info
+            for start, stop in [(0, 2), (2, 5), (4, 5), (0, 5)]:
+                block = reader.read(start, stop)
+                assert np.array_equal(block.data, sig.data[start:stop])
+                assert block.info.channel_labels == sig.info.channel_labels[start:stop]
+                assert not block.data.flags.writeable
+
+    @pytest.mark.parametrize("start,stop", [(-1, 2), (2, 2), (3, 2), (0, 6)])
+    def test_read_outside_the_record_rejected(self, tmp_path, start, stop):
+        sig = generate_synthetic(broadband_spec(channel_count=5, sample_count=30, seed=4))
+        store_signal(sig, tmp_path / "rec")
+        with signal_core.SignalReader(tmp_path / "rec") as reader:
+            with pytest.raises(ValidationError):
+                reader.read(start, stop)
+
+    def test_block_writes_equal_one_store(self, tmp_path):
+        sig = generate_synthetic(broadband_spec(channel_count=5, sample_count=300, seed=4))
+        store_signal(sig, tmp_path / "whole")
+        with signal_core.signal_writer(tmp_path / "blocks", sig.info) as write:
+            for start, stop in [(0, 1), (1, 3), (3, 5)]:
+                write(sig.data[start:stop])
+        for suffix in (".f64", ".json"):
+            whole = (tmp_path / ("whole" + suffix)).read_bytes()
+            assert (tmp_path / ("blocks" + suffix)).read_bytes() == whole
+
+    @pytest.mark.parametrize("rows", [(2, 300), (6, 300), (1, 299)])
+    def test_writer_rejects_rows_that_do_not_fit(self, tmp_path, rows):
+        info = _info(channels=5, samples=300)
+        with pytest.raises(ValidationError):
+            with signal_core.signal_writer(tmp_path / "o", info) as write:
+                write(np.zeros((4, 300)))
+                write(np.zeros(rows))
+        assert os.listdir(tmp_path) == []
+
+    def test_writer_leaves_nothing_when_short_or_failing(self, tmp_path):
+        info = _info(channels=3, samples=10)
+        with pytest.raises(ValidationError, match="wrote 2 of 3"):
+            with signal_core.signal_writer(tmp_path / "o", info) as write:
+                write(np.zeros((2, 10)))
+        with pytest.raises(RuntimeError):
+            with signal_core.signal_writer(tmp_path / "o", info) as write:
+                write(np.zeros((2, 10)))
+                raise RuntimeError("stop")
+        assert os.listdir(tmp_path) == []
+
+
 class TestStoreLoad:
     def test_round_trip_bit_exact(self, tmp_path):
         sig = generate_synthetic(broadband_spec(channel_count=3, sample_count=777, seed=9))
@@ -370,10 +462,10 @@ class TestStoreLoad:
         damaged = payload[:extra] if extra < 0 else payload + bytes(extra)
         (tmp_path / "rec.f64").write_bytes(damaged)
 
-        def no_allocation(*args):
-            raise AssertionError("payload buffer allocated before the size check")
+        def no_read(*args):
+            raise AssertionError("payload read before the size check")
 
-        monkeypatch.setattr(signal_core, "bytearray", no_allocation, raising=False)
+        monkeypatch.setattr(signal_core.SignalReader, "read", no_read)
         with pytest.raises(PayloadSizeError):
             load_signal(tmp_path / "rec")
 
