@@ -11,8 +11,9 @@ channel on its own, so the output bytes and the report are those of the
 whole record, while a run holds only the current block of input and its
 block of output (for compare, one block of each input). Every header and
 payload size is checked before the first block is read, and a failure in
-any block leaves no output file. A .csv input is parsed whole, as one
-block. sweep and bench load the whole record.
+any block leaves no output file. filter resolves its thread count once for
+the whole record and runs every block on it. A .csv input is parsed whole,
+as one block. sweep and bench load the whole record.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .filtering import (
     THREADS_ENV_VAR,
     apply_mode,
     mode_from_name,
+    resolve_threads,
 )
 from .fir_design import FilterSpec, FirKernel, design_bandpass, export_taps_csv
 from .signal_core import (
@@ -205,11 +207,12 @@ def _cmd_design(args: argparse.Namespace) -> int:
 def _cmd_filter(args: argparse.Namespace) -> int:
     with _open_input(args.input, args.rate) as (info, read, blocks):
         kernel = design_bandpass(_filter_spec(args, info.sampling_rate_hz))
+        threads = resolve_threads(None, (info.channel_count, info.sample_count))
         with signal_writer(args.out, info) as write:
             for start, stop in blocks:
                 # Read as an argument, so the block is freed when the call
                 # returns, before the next one is read.
-                mode = _filter_block(read(start, stop), kernel, args, write)
+                mode = _filter_block(read(start, stop), kernel, args, threads, write)
     print(
         f"filtered {info.channel_count} channels x {info.sample_count} samples "
         f"in mode {mode.describe()} with {kernel.length} taps -> {args.out}"
@@ -218,11 +221,12 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 
 
 def _filter_block(
-    block: SignalMatrix, kernel: FirKernel, args: argparse.Namespace, write
+    block: SignalMatrix, kernel: FirKernel, args: argparse.Namespace, threads: int, write
 ) -> FilterMode:
-    """Filter one channel block in the mode args name, write it, and return the mode."""
+    """Filter one channel block in the mode args name on the record's thread
+    count, write it, and return the mode."""
     mode = mode_from_name(args.mode, block, args.packet_size)
-    write(apply_mode(block, kernel, mode, method=args.method).data)
+    write(apply_mode(block, kernel, mode, method=args.method, n_threads=threads).data)
     return mode
 
 

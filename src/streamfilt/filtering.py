@@ -180,7 +180,15 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _resolve_threads(n_threads: int | None, shape: tuple[int, int]) -> int:
+def resolve_threads(n_threads: int | None, shape: tuple[int, int]) -> int:
+    """Threads a call on a (channels, samples) record runs on.
+
+    An explicit n_threads, else STREAMFILT_THREADS, else the available CPUs
+    at or above _MIN_THREADED_WORK channel-samples and 1 below it; capped
+    by the channel count. A caller that filters a record by channel blocks
+    resolves the count once for the whole record and passes it to each
+    block, so a small block is not left single threaded.
+    """
     channels, samples = shape
     if n_threads is None:
         raw = os.environ.get(THREADS_ENV_VAR)
@@ -215,7 +223,7 @@ def _filter_channel_blocks(
     percent this way.
     """
     data = signal.data
-    threads = _resolve_threads(n_threads, data.shape)
+    threads = resolve_threads(n_threads, data.shape)
     out = np.empty(data.shape, dtype=np.float64)
     if threads == 1:
         fill(data, out)

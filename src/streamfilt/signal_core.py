@@ -47,8 +47,8 @@ _PAYLOAD_SUFFIX = ".f64"
 # builds a bool mask the size of the record: 64 KiB of mask for any record.
 _FINITE_CHUNK = 1 << 16
 # Channel-samples in one block of a record read or written by channel
-# blocks (channel_blocks). Twice filtering's threading floor, so each of the
-# 20/20/19-channel blocks of the default record still splits across CPUs.
+# blocks (channel_blocks): 32 MiB of float64, 20/20/19-channel blocks on the
+# default record.
 _BLOCK_CHANNEL_SAMPLES = 1 << 22
 
 # Scratch bytes for one column block of synthetic generation: the block's

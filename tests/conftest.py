@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from streamfilt import filtering
 from streamfilt import (
     FilterSpec,
     SignalInfo,
@@ -33,6 +36,27 @@ def small_signal() -> SignalMatrix:
 def full_signal() -> SignalMatrix:
     """The full-size default synthetic record, built once per session."""
     return generate_synthetic(broadband_spec())
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """(max_workers of every pool the routes build, sched_getaffinity calls),
+    with 2 CPUs available and STREAMFILT_THREADS unset."""
+    built, lookups = [], []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    def two_cpus(pid):
+        lookups.append(pid)
+        return {0, 1}
+
+    monkeypatch.setattr(filtering, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(filtering.os, "sched_getaffinity", two_cpus, raising=False)
+    monkeypatch.delenv("STREAMFILT_THREADS", raising=False)
+    return built, lookups
 
 
 def make_signal(data, rate: float = 600.614) -> SignalMatrix:

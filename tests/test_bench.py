@@ -59,6 +59,20 @@ class TestStudentT:
         with pytest.raises(ValidationError):
             student_t_975(0)
 
+    @pytest.mark.parametrize("df", [-1, True, 2.5, "3"])
+    def test_rejects_negative_or_non_integer_df(self, df):
+        with pytest.raises(ValidationError):
+            student_t_975(df)
+
+    def test_matches_scipy(self):
+        # Both sides of the switch from the exact sum (df <= 500) to the
+        # Cornish-Fisher expansion, and far into the expansion's range.
+        from scipy import stats
+
+        dfs = [*range(1, 3001), 10**4, 10**5, 10**6, 10**9]
+        for df, expected in zip(dfs, stats.t.ppf(0.975, dfs)):
+            assert abs(student_t_975(df) - expected) <= 1e-12 * expected, df
+
 
 class TestCi95:
     def test_reference_value(self):

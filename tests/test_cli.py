@@ -329,8 +329,22 @@ class TestChannelBlocks:
 
     BLOCKS = {3000: [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], 6000: [(0, 2), (2, 4), (4, 5)]}
 
-    def test_block_limit_keeps_blocks_threaded(self):
-        assert signal_core._BLOCK_CHANNEL_SAMPLES >= 2 * filtering._MIN_THREADED_WORK
+    @pytest.mark.parametrize("mode", MODE_NAMES)
+    def test_every_block_of_a_threaded_record_builds_a_pool(
+        self, capsys, tmp_path, monkeypatch, pools, mode
+    ):
+        # 5 x 3000 splits into blocks of 3 and 2 channels. The record is
+        # above the patched threading floor and the 2-channel block alone
+        # is not; it still runs on the record's 2 threads.
+        monkeypatch.setattr(signal_core, "_BLOCK_CHANNEL_SAMPLES", 9000)
+        monkeypatch.setattr(filtering, "_MIN_THREADED_WORK", 10000)
+        _store_random(tmp_path / "rec", 5, 3000, seed=9)
+        code, _, err = run_cli(
+            capsys, "filter", "--in", str(tmp_path / "rec"), "--out", str(tmp_path / "o"),
+            "--low", "2", "--high", "30", "--length", "61", "--mode", mode,
+        )
+        assert code == 0, err
+        assert pools[0] == [1, 1]
 
     @pytest.mark.parametrize("limit", [3000, 6000], ids=["1-row", "uneven"])
     # The stateful stream runs on the direct engine only.
@@ -640,12 +654,31 @@ class TestImportCost:
         assert "streamfilt.bench" in loaded
         assert "streamfilt.convolution" in loaded
 
-    @pytest.mark.parametrize("mode", ["batch", "per-packet"])
-    def test_filter_run_loads_no_scipy(self, capsys, tmp_path, mode):
-        # Both routes take the FFT engine here: 991 taps on 2000 samples,
-        # and on packets of 400.
+    @pytest.mark.parametrize(
+        "command", ["batch", "per-packet", "gen", "design", "compare", "sweep", "bench"]
+    )
+    def test_filter_run_loads_no_scipy(self, capsys, tmp_path, command):
+        # Both filter routes take the FFT engine here: 991 taps on 2000
+        # samples, and on packets of 400. sweep and bench time 4 repetitions,
+        # so their confidence intervals need t(0.975, 3).
         base = tmp_path / "sig"
         gen_small(capsys, base)
+        band = ["--low", "2", "--high", "30"]
+        argv = {
+            "batch": ["filter", "--in", str(base), *band, "--mode", "batch", "--out"],
+            "per-packet": [
+                "filter", "--in", str(base), *band, "--mode", "per-packet",
+                "--packet-size", "400", "--out",
+            ],
+            "gen": ["gen", "--channels", "2", "--samples", "500", "--out"],
+            "design": ["design", *band, "--rate", "600.614", "--out"],
+            "compare": ["compare", "--a", str(base), "--b", str(base), "--out"],
+            "sweep": [
+                "sweep", "--in", str(base), *band, "--sizes", "400", "--reps-timing", "4",
+                "--replicate", "1", "--warmup", "0", "--out-dir",
+            ],
+            "bench": ["bench", "--in", str(base), *band, "--reps", "4", "--warmup", "0", "--out"],
+        }[command]
         modules = tmp_path / "modules.json"
         script = (
             "import json, sys\n"
@@ -655,13 +688,9 @@ class TestImportCost:
             "    json.dump(sorted(sys.modules), f)\n"
             "sys.exit(code)\n"
         )
-        result = _run_fresh(
-            script, str(modules),
-            "filter", "--in", str(base), "--out", str(tmp_path / "out"),
-            "--low", "2", "--high", "30", "--mode", mode, "--packet-size", "400",
-        )
+        result = _run_fresh(script, str(modules), *argv, str(tmp_path / "out"))
         assert result.returncode == 0, result.stderr
-        assert (tmp_path / "out.f64").exists()
+        assert list(tmp_path.glob("out*"))
         loaded = json.loads(modules.read_text())
         assert "streamfilt.convolution" in loaded
         assert [m for m in loaded if m.startswith("scipy")] == []

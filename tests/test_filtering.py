@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -288,6 +287,27 @@ class TestFilterStatefulStream:
         out = filter_stateful_stream(sig, kernel, packetize(sig, 600))
         assert np.array_equal(out.data, filter_batch(sig, kernel, method="direct").data)
 
+    # Records shorter than the kernel, 1-sample packets, tails and packets
+    # longer than the record (one whole-record packet) all come up.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        channels=st.integers(1, 3),
+        samples=st.integers(1, 3000),
+        length=st.integers(1, 100).map(lambda half: 2 * half + 1),
+        packet=st.one_of(st.just(1), st.integers(1, 3100)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(channels=2, samples=50, length=201, packet=7, seed=0)
+    @example(channels=1, samples=1, length=3, packet=1, seed=1)
+    @example(channels=3, samples=3000, length=201, packet=3001, seed=2)
+    def test_any_packetization_bitwise_equals_direct_batch(
+        self, channels, samples, length, packet, seed
+    ):
+        sig = _random_signal(channels, samples, seed)
+        kernel = _small_kernel(length)
+        out = filter_stateful_stream(sig, kernel, packetize(sig, packet))
+        assert np.array_equal(out.data, filter_batch(sig, kernel, method="direct").data)
+
 
 class TestPreallocatedOutput:
     # 3 x 40000 spans several overlap-save blocks, 2 x 1500 takes the single
@@ -367,25 +387,6 @@ class TestThreads:
             base = run(1).data
             for threads in (None, 2, 3):
                 assert np.array_equal(run(threads).data, base)
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """max_workers of every pool the routes build; 2 CPUs available."""
-        built, lookups = [], []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                built.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        def two_cpus(pid):
-            lookups.append(pid)
-            return {0, 1}
-
-        monkeypatch.setattr(filtering, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(filtering.os, "sched_getaffinity", two_cpus, raising=False)
-        monkeypatch.delenv("STREAMFILT_THREADS", raising=False)
-        return built, lookups
 
     @staticmethod
     def _routes(sig, kernel, packet, n_threads=None):
