@@ -19,12 +19,22 @@ bitwise reproducible across packetizations. The FFT engine evaluates the
 same valid window positions through circular convolution: wraparound only
 contaminates output indices below length - 1, which the valid slice skips.
 Long inputs use fixed-size overlap-save blocks instead of one huge
-transform, which is both faster and lighter on memory. Either engine sees
-exactly the values of the padded record, so its output does not depend on
-whether the padding was built in advance.
+transform, which is both faster and lighter on memory; every block of a
+call transforms into the same spectrum and time buffers through
+numpy.fft's out= (numpy 2.0 and later), so a call does not map fresh pages
+for each block. Either engine sees exactly the values of the padded
+record, so its output does not depend on whether the padding was built in
+advance.
+
+The kernel spectrum depends only on the taps and the transform length. A
+caller that filters many inputs with one kernel passes a cached source of
+it (FirKernel.spectrum); without one, the convolver transforms the taps.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Callable
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -87,16 +97,20 @@ def _copy_reflection(data: np.ndarray, reflection, out: np.ndarray) -> None:
         out[:, first:last] = src[:, ::-1] if backwards else src
 
 
-def reflect_pad_columns(data: np.ndarray, pad: int, start: int, stop: int) -> np.ndarray:
+def reflect_pad_columns(
+    data: np.ndarray, pad: int, start: int, stop: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Columns [start, stop) of reflect_pad(data, pad), without padding the rest.
 
     0 <= start <= stop <= width + 2 * pad. A window that lies inside the
-    record comes back as a view; otherwise only the window is materialised.
+    record comes back as a view; otherwise only the window is materialised,
+    into out when it is given (shape (channels, stop - start)).
     """
     if pad >= 0 and 0 <= start - pad and stop - pad <= data.shape[1]:
         return data[:, start - pad : stop - pad]
     reflection = _reflection(data.shape[1], pad, start, stop)
-    out = np.empty((data.shape[0], stop - start), dtype=np.float64)
+    if out is None:
+        out = np.empty((data.shape[0], stop - start), dtype=np.float64)
     _copy_reflection(data, reflection, out)
     return out
 
@@ -106,11 +120,13 @@ def reflect_pad(data: np.ndarray, pad: int) -> np.ndarray:
     return reflect_pad_columns(data, pad, 0, data.shape[1] + 2 * pad)
 
 
+@functools.lru_cache(maxsize=1024)
 def _next_fast_len(n: int) -> int:
     """Smallest 5-smooth number (2^a 3^b 5^c) >= n, for n >= 1.
 
     These are the real-transform lengths pocketfft handles fastest; the
-    result equals scipy.fft.next_fast_len(n, real=True).
+    result equals scipy.fft.next_fast_len(n, real=True). Cached, since
+    every live packet asks for the same few lengths.
     """
     best = 1 << (n - 1).bit_length()
     power5 = 1
@@ -142,10 +158,16 @@ class ReflectedConvolver:
     buffer. Calling the convolver on data of that shape then does only the
     per-input work, so a loop over equal packets pays the rest once. The
     buffer makes a convolver single-threaded: give each thread its own.
+    spectrum(n) must return rfft(taps, n); None computes it here.
     """
 
     def __init__(
-        self, shape: tuple[int, int], taps: np.ndarray, pad: int, method: str = "auto"
+        self,
+        shape: tuple[int, int],
+        taps: np.ndarray,
+        pad: int,
+        method: str = "auto",
+        spectrum: Callable[[int], np.ndarray] | None = None,
     ) -> None:
         if method not in METHODS:
             raise ValidationError(f"unknown convolution method {method!r}")
@@ -170,7 +192,7 @@ class ReflectedConvolver:
                 self._buf = np.zeros((rows, single), dtype=np.float64)
                 block = single
             self._block = block
-            self._kernel_spectrum = rfft(taps, block)
+            self._kernel_spectrum = rfft(taps, block) if spectrum is None else spectrum(block)
 
     def __call__(self, data: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write convolve_valid(reflect_pad(data, pad), taps) into out."""
@@ -197,22 +219,22 @@ class ReflectedConvolver:
 
     def _overlap_save(self, data: np.ndarray, out: np.ndarray) -> None:
         length, pad, width, block = self._taps.size, self._pad, self._width, self._block
-
-        # A function, so each block's chunk, spectrum and inverse are freed
-        # before the next block starts.
-        def filtered(start: int, stop: int) -> np.ndarray:
-            # Only the first and last blocks reach into the reflections;
-            # rfft zero-pads a short tail chunk up to the block length.
-            spectrum = rfft(reflect_pad_columns(data, pad, start, stop), block, axis=-1)
-            spectrum *= self._kernel_spectrum
-            return irfft(spectrum, block, axis=-1)
-
+        rows = data.shape[0]
+        spectrum = np.empty((rows, block // 2 + 1), dtype=np.complex128)
+        filtered = np.empty((rows, block), dtype=np.float64)
         out_width = out.shape[1]
         done = 0
         while done < out_width:
             stop = min(done + block, width)
             take = min(stop - done - length + 1, out_width - done)
-            out[:, done : done + take] = filtered(done, stop)[:, length - 1 : length - 1 + take]
+            # Only the first and last blocks reach into the reflections, and
+            # they build them in the time buffer, which is free until the
+            # inverse; rfft zero-pads a short tail chunk up to the block length.
+            chunk = reflect_pad_columns(data, pad, done, stop, filtered[:, : stop - done])
+            rfft(chunk, block, axis=-1, out=spectrum)
+            spectrum *= self._kernel_spectrum
+            irfft(spectrum, block, axis=-1, out=filtered)
+            out[:, done : done + take] = filtered[:, length - 1 : length - 1 + take]
             done += take
 
     def _direct(self, data: np.ndarray, out: np.ndarray) -> None:
@@ -229,7 +251,12 @@ class ReflectedConvolver:
 
 
 def convolve_reflected(
-    data: np.ndarray, taps: np.ndarray, pad: int, out: np.ndarray, method: str = "auto"
+    data: np.ndarray,
+    taps: np.ndarray,
+    pad: int,
+    out: np.ndarray,
+    method: str = "auto",
+    spectrum: Callable[[int], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Write convolve_valid(reflect_pad(data, pad), taps, method) into out.
 
@@ -237,9 +264,10 @@ def convolve_reflected(
     columns when that is not positive; it may be a view into a larger array.
     The padded record is never built: the FFT engine reads its blocks from
     data and the direct engine pads one row at a time. A loop over inputs
-    of one shape should build one ReflectedConvolver instead.
+    of one shape should build one ReflectedConvolver instead. spectrum is
+    as in ReflectedConvolver.
     """
-    return ReflectedConvolver(data.shape, taps, pad, method)(data, out)
+    return ReflectedConvolver(data.shape, taps, pad, method, spectrum)(data, out)
 
 
 def _valid_output(data: np.ndarray, taps: np.ndarray) -> np.ndarray:

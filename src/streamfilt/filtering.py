@@ -19,16 +19,19 @@ Channels are independent, and np.convolve and numpy.fft release the GIL, so
 every route splits its channels into contiguous blocks and filters them on
 threads, each block into its rows of the one output. Per-channel work does
 not depend on the grouping, so the output is bitwise the same for any
-thread count. n_threads=None takes STREAMFILT_THREADS when it is set (1
-models a single-core Edge box), else the CPUs this process may run on,
-capped by the channel count; a call with less work than _MIN_THREADED_WORK
-stays on the caller's thread.
+thread count. The threads come from one pool per process, built on first
+use and kept, so a live packet pays a hand-off to a waiting worker rather
+than a pool's start-up. n_threads=None takes STREAMFILT_THREADS when it is
+set (1 models a single-core Edge box), else the CPUs this process may run
+on, capped by the channel count; a call with less work than
+_MIN_THREADED_WORK stays on the caller's thread.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator
 
@@ -41,11 +44,15 @@ from .signal_core import SignalMatrix
 
 THREADS_ENV_VAR = "STREAMFILT_THREADS"
 
-# Channel-samples below which n_threads=None stays on the caller's thread.
-# On 2 CPUs a 59-channel, 991-tap batch broke even between 32768 and 65536
-# samples per channel (1.9 M to 3.9 M channel-samples); every live packet
-# (at most 59 x 1024) stays far below this.
-_MIN_THREADED_WORK = 2**21
+# Channel-samples below which n_threads=None stays on the caller's thread:
+# 59-channel packets of up to 69 samples. With the process's pool an empty
+# hand-off costs 17-26 us at the median. On 2 CPUs with the 991-tap kernel,
+# a 2-thread split of 59-channel packets of 32-1024 samples took 10-20
+# percent off each call in a fresh process, and 13-14 percent off the
+# median of the benchmark's live packets. The floor counts channel-samples
+# only: calls of 4 x 1024 and 8 x 512 took 1.6-1.9 times as long split as
+# on one thread.
+_MIN_THREADED_WORK = 4096
 
 
 @dataclass(frozen=True)
@@ -208,6 +215,40 @@ def resolve_threads(n_threads: int | None, shape: tuple[int, int]) -> int:
     return min(n_threads, channels)
 
 
+class _WorkerPool:
+    """The process's one thread pool, built on first use and kept.
+
+    get(workers) returns a pool of at least that many workers, replacing a
+    smaller one; a replaced pool's workers exit once the last call that
+    holds it lets it go. A forked child starts without a pool, since the
+    parent's worker threads do not exist in it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._pool: ThreadPoolExecutor | None = None
+        self._workers = 0
+
+    def get(self, workers: int) -> ThreadPoolExecutor:
+        with self._lock:
+            if self._workers < workers:
+                self._pool = ThreadPoolExecutor(workers, thread_name_prefix="streamfilt")
+                self._workers = workers
+            return self._pool
+
+
+_pool = _WorkerPool()
+
+
+def _forget_pool_in_child() -> None:
+    global _pool
+    _pool = _WorkerPool()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_in_child)
+
+
 def _filter_channel_blocks(
     signal: SignalMatrix,
     n_threads: int | None,
@@ -216,11 +257,13 @@ def _filter_channel_blocks(
     """Allocate the output once and run fill(data_rows, out_rows) on
     contiguous channel blocks of it, one block per thread.
 
-    The caller's thread fills the first block itself, so the pool has one
-    worker fewer than the thread count. A pool of as many workers as
-    threads costs one more malloc arena: on 2 CPUs it raised the peak RSS
-    of the batch CLI on the default record by 4.7 percent, against 1.0
-    percent this way.
+    The caller's thread fills the first block itself and the process's
+    pool the others, so the pool needs one worker fewer than the thread
+    count. A worker more would cost one more malloc arena: on 2 CPUs a
+    pool of as many workers as threads raised the peak RSS of the batch
+    CLI on the default record by 4.7 percent, against 1.0 percent this
+    way. The pool's workers, and so their arenas, live as long as the
+    process.
     """
     data = signal.data
     threads = resolve_threads(n_threads, data.shape)
@@ -228,13 +271,17 @@ def _filter_channel_blocks(
     if threads == 1:
         fill(data, out)
     else:
-        bounds = np.linspace(0, data.shape[0], threads + 1).astype(int).tolist()
+        channels = data.shape[0]
+        bounds = [i * channels // threads for i in range(threads + 1)]
         blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            futures = [pool.submit(fill, data[rows], out[rows]) for rows in blocks[1:]]
+        pool = _pool.get(threads - 1)
+        futures = [pool.submit(fill, data[rows], out[rows]) for rows in blocks[1:]]
+        try:
             fill(data[blocks[0]], out[blocks[0]])
-            for future in futures:
-                future.result()
+        finally:
+            wait(futures)  # no worker still writes into out once this returns
+        for future in futures:
+            future.result()
     return SignalMatrix._adopt(signal.info, out)
 
 
@@ -257,7 +304,7 @@ def filter_batch(
     delay = kernel.group_delay_samples
 
     def fill(data: np.ndarray, out: np.ndarray) -> None:
-        convolve_reflected(data, kernel.taps, delay, out, method)
+        convolve_reflected(data, kernel.taps, delay, out, method, kernel.spectrum)
 
     return _filter_channel_blocks(signal, n_threads, fill)
 
@@ -290,7 +337,9 @@ def filter_per_packet(
             size = stop - start
             if size not in convolvers:
                 shape = (data.shape[0], size)
-                convolvers[size] = ReflectedConvolver(shape, kernel.taps, delay, method)
+                convolvers[size] = ReflectedConvolver(
+                    shape, kernel.taps, delay, method, kernel.spectrum
+                )
             convolvers[size](data[:, start:stop], out[:, start:stop])
 
     return _filter_channel_blocks(signal, n_threads, fill)

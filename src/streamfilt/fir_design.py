@@ -9,15 +9,21 @@ zero-phase application possible downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import rfft
 
 from .errors import NyquistViolationError, ValidationError
 from ._fsio import atomic_write_csv
 
 # Bytes of complex basis frequency_response builds per block of frequencies.
 _RESPONSE_BLOCK_BYTES = 1 << 22
+
+# Bytes of kernel spectra one FirKernel keeps. Live packets of 32-1024
+# samples through the 991-tap kernel use about 24 transform lengths, 0.4 MB.
+_SPECTRUM_CACHE_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -56,10 +62,18 @@ class FilterSpec:
 
 @dataclass(frozen=True, eq=False)
 class FirKernel:
-    """Immutable odd-length symmetric FIR kernel."""
+    """Immutable odd-length symmetric FIR kernel.
+
+    spectrum(n) caches rfft(taps, n) per transform length; the taps are
+    read-only, so a cached spectrum can never go stale.
+    """
 
     taps: np.ndarray
     spec: FilterSpec
+    _spectra: dict = field(default_factory=dict, init=False, repr=False)
+    _spectra_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         arr = np.array(self.taps, dtype=np.float64)
@@ -79,6 +93,26 @@ class FirKernel:
     @property
     def group_delay_samples(self) -> int:
         return (self.length - 1) // 2
+
+    def spectrum(self, n: int) -> np.ndarray:
+        """rfft(taps, n), read-only, from a cache of transform lengths.
+
+        The cache holds at most _SPECTRUM_CACHE_BYTES and drops its oldest
+        lengths first; a spectrum larger than that is not kept.
+        """
+        cached = self._spectra.get(n)  # one dict read, atomic without the lock
+        if cached is not None:
+            return cached
+        spectrum = rfft(self.taps, n)
+        spectrum.setflags(write=False)
+        if spectrum.nbytes <= _SPECTRUM_CACHE_BYTES:
+            with self._spectra_lock:
+                spectra = self._spectra
+                spectra[n] = spectrum
+                used = sum(s.nbytes for s in spectra.values())
+                while used > _SPECTRUM_CACHE_BYTES:
+                    used -= spectra.pop(next(iter(spectra))).nbytes
+        return spectrum
 
 
 def transition_bandwidths(spec: FilterSpec) -> tuple[float, float]:

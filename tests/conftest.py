@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,23 +41,30 @@ def full_signal() -> SignalMatrix:
 
 @pytest.fixture
 def pools(monkeypatch):
-    """(max_workers of every pool the routes build, sched_getaffinity calls),
-    with 2 CPUs available and STREAMFILT_THREADS unset."""
-    built, lookups = [], []
+    """What the routes ask of a fresh process pool, with 2 CPUs available
+    and STREAMFILT_THREADS unset: .built holds the max_workers of every
+    pool built, .submitted counts the tasks handed to one, and .lookups
+    the sched_getaffinity calls."""
+    seen = SimpleNamespace(built=[], submitted=0, lookups=[])
 
     class RecordingPool(ThreadPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
-            built.append(max_workers)
+            seen.built.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
+        def submit(self, *args, **kwargs):
+            seen.submitted += 1
+            return super().submit(*args, **kwargs)
+
     def two_cpus(pid):
-        lookups.append(pid)
+        seen.lookups.append(pid)
         return {0, 1}
 
     monkeypatch.setattr(filtering, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(filtering, "_pool", filtering._WorkerPool())
     monkeypatch.setattr(filtering.os, "sched_getaffinity", two_cpus, raising=False)
     monkeypatch.delenv("STREAMFILT_THREADS", raising=False)
-    return built, lookups
+    return seen
 
 
 def make_signal(data, rate: float = 600.614) -> SignalMatrix:

@@ -335,7 +335,8 @@ class TestChannelBlocks:
     ):
         # 5 x 3000 splits into blocks of 3 and 2 channels. The record is
         # above the patched threading floor and the 2-channel block alone
-        # is not; it still runs on the record's 2 threads.
+        # is not; it still runs on the record's 2 threads. Both blocks hand
+        # their second half to the one pool, which the first block builds.
         monkeypatch.setattr(signal_core, "_BLOCK_CHANNEL_SAMPLES", 9000)
         monkeypatch.setattr(filtering, "_MIN_THREADED_WORK", 10000)
         _store_random(tmp_path / "rec", 5, 3000, seed=9)
@@ -344,7 +345,8 @@ class TestChannelBlocks:
             "--low", "2", "--high", "30", "--length", "61", "--mode", mode,
         )
         assert code == 0, err
-        assert pools[0] == [1, 1]
+        assert pools.built == [1]
+        assert pools.submitted == 2
 
     @pytest.mark.parametrize("limit", [3000, 6000], ids=["1-row", "uneven"])
     # The stateful stream runs on the direct engine only.

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from streamfilt import ValidationError
+from streamfilt import ValidationError, convolution
 from streamfilt.convolution import (
     _next_fast_len,
     convolve_reflected,
@@ -42,6 +42,12 @@ class TestReflectPadColumns:
         data = np.arange(20.0).reshape(2, 10)
         assert np.shares_memory(reflect_pad_columns(data, 3, 3, 13), data)
 
+    def test_window_reaching_a_reflection_is_built_in_out(self):
+        data = np.arange(20.0).reshape(2, 10)
+        out = np.full((2, 6), np.nan)
+        assert reflect_pad_columns(data, 3, 0, 6, out) is out
+        assert np.array_equal(out, np.pad(data, ((0, 0), (3, 3)), mode="reflect")[:, :6])
+
     def test_negative_pad_rejected(self):
         with pytest.raises(ValidationError):
             reflect_pad_columns(np.zeros((1, 5)), -1, 0, 3)
@@ -76,6 +82,63 @@ class TestConvolveReflected:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
             convolve_reflected(np.zeros((1, 100)), np.ones(3), 1, np.empty((1, 100)), "fast")
+
+
+def _fresh_transforms_per_block(data, taps, pad):
+    """The overlap-save loop with a new spectrum and a new inverse for
+    every block: the reference the buffered engine must equal bit for bit."""
+    length = taps.size
+    width = data.shape[1] + 2 * pad
+    block = _next_fast_len(max(16 * length, 4096))
+    kernel = np.fft.rfft(taps, block)
+    out = np.empty((data.shape[0], width - length + 1))
+    done = 0
+    while done < out.shape[1]:
+        stop = min(done + block, width)
+        take = min(stop - done - length + 1, out.shape[1] - done)
+        spectrum = np.fft.rfft(reflect_pad_columns(data, pad, done, stop), block, axis=-1)
+        spectrum *= kernel
+        filtered = np.fft.irfft(spectrum, block, axis=-1)
+        out[:, done : done + take] = filtered[:, length - 1 : length - 1 + take]
+        done += take
+    return out
+
+
+class TestOverlapSave:
+    # Records of 3 to 15 blocks, tails shorter than the kernel included.
+    CASES = [(2, 60000, 31, 15), (3, 50001, 991, 495), (1, 20000, 101, 0)]
+
+    @pytest.mark.parametrize("channels,width,length,pad", CASES)
+    def test_equals_fresh_transforms_per_block(self, channels, width, length, pad):
+        rng = np.random.default_rng(width + length)
+        data = rng.standard_normal((channels, width))
+        taps = rng.standard_normal(length)
+        expected = _fresh_transforms_per_block(data, taps, pad)
+        out = np.full(expected.shape, np.nan)
+        convolve_reflected(data, taps, pad, out, "fft")
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("channels,width,length,pad", CASES)
+    def test_every_block_reuses_one_pair_of_buffers(self, monkeypatch, channels, width, length, pad):
+        outs = {"rfft": [], "irfft": []}
+
+        def recording(name, transform):
+            def call(*args, out=None, **kwargs):
+                outs[name].append(out)
+                return transform(*args, out=out, **kwargs)
+
+            return call
+
+        for name in outs:
+            monkeypatch.setattr(convolution, name, recording(name, getattr(np.fft, name)))
+        data = np.random.default_rng(3).standard_normal((channels, width))
+        taps = np.random.default_rng(4).standard_normal(length)
+        out = np.empty((channels, width + 2 * pad - length + 1))
+        convolve_reflected(data, taps, pad, out, "fft", lambda n: np.fft.rfft(taps, n))
+        for buffers in outs.values():
+            assert len(buffers) >= 3
+            assert buffers[0] is not None
+            assert all(buf is buffers[0] for buf in buffers)
 
 
 # Every 5-smooth number up to 2^25, sorted: the oracle for _next_fast_len.

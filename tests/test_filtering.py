@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import os
+import threading
+import time
 import tracemalloc
+import warnings
+from signal import SIGKILL
 
 import numpy as np
 import pytest
@@ -362,7 +367,9 @@ class TestThreads:
     # Widths up to 1500 keep every example fast; the explicit 20000-sample
     # example takes the blocked FFT path. Packets of 1 sample, tails and
     # packets shorter than the kernel all come up. Thread counts above the
-    # channel count are capped, so 3 threads on 1 channel runs 1.
+    # channel count are capped, so 3 threads on 1 channel runs 1. The 59
+    # channel examples are live packets (the median and the shortest
+    # size), which n_threads=None splits on more than one CPU.
     @settings(max_examples=40, deadline=None)
     @given(
         channels=st.integers(1, 9),
@@ -372,6 +379,8 @@ class TestThreads:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(channels=3, samples=20000, packet=4500, length=99, seed=0)
+    @example(channels=59, samples=528, packet=400, length=99, seed=1)
+    @example(channels=59, samples=32, packet=32, length=99, seed=2)
     def test_thread_count_does_not_change_output(self, channels, samples, packet, length, seed):
         sig = _random_signal(channels, samples, seed)
         kernel = _identity_kernel() if length == 1 else _small_kernel(length)
@@ -401,33 +410,134 @@ class TestThreads:
     def _above_floor():
         return _random_signal(2, filtering._MIN_THREADED_WORK // 2, seed=30)
 
-    def test_live_packet_stays_on_the_callers_thread(self, pools, standard_kernel):
+    def test_live_packet_splits_on_one_pool(self, pools, standard_kernel):
         sig = _random_signal(59, 1024, seed=29)
-        for run in self._routes(sig, standard_kernel, 400).values():
+        routes = self._routes(sig, standard_kernel, 400)
+        singles = self._routes(sig, standard_kernel, 400, n_threads=1)
+        for route, run in routes.items():
+            single = singles[route]().data
+            for _ in range(3):
+                assert np.array_equal(run().data, single)
+        assert pools.built == [1]
+        assert pools.submitted == 9
+        assert len(pools.lookups) == 9
+
+    def test_below_the_floor_stays_on_the_callers_thread(self, pools):
+        sig = _random_signal(4, filtering._MIN_THREADED_WORK // 4 - 1, seed=31)
+        for run in self._routes(sig, _small_kernel(31), 400).values():
             run()
-        assert pools == ([], [])
+        assert pools.built == []
+        assert pools.submitted == 0
 
     @pytest.mark.parametrize("route", ["batch", "per-packet", "stateful"])
     def test_above_the_floor_the_caller_and_one_worker_split(self, pools, route):
         sig = self._above_floor()
         kernel = _small_kernel(31)
         out = self._routes(sig, kernel, 65536)[route]()
-        assert pools[0] == [1]
-        assert len(pools[1]) == 1
+        assert pools.built == [1]
+        assert pools.submitted == 1
+        assert len(pools.lookups) == 1
         single = self._routes(sig, kernel, 65536, n_threads=1)[route]()
         assert np.array_equal(out.data, single.data)
+
+    def test_pool_grows_to_the_largest_call(self, pools):
+        sig = _random_signal(6, 400, seed=32)
+        kernel = _small_kernel(31)
+        base = filter_batch(sig, kernel, n_threads=1).data
+        for threads in (2, 4, 3, 2):
+            assert np.array_equal(filter_batch(sig, kernel, n_threads=threads).data, base)
+        assert pools.built == [1, 3]
+        assert pools.submitted == 1 + 3 + 2 + 1
 
     def test_env_of_one_builds_no_pool(self, pools, monkeypatch):
         monkeypatch.setenv("STREAMFILT_THREADS", "1")
         filter_batch(self._above_floor(), _small_kernel(31))
-        assert pools == ([], [])
+        assert pools.built == []
+        assert pools.lookups == []
 
     @pytest.mark.parametrize("cpu_count,workers", [(2, [1]), (None, [])])
     def test_fallback_without_sched_getaffinity(self, pools, monkeypatch, cpu_count, workers):
         monkeypatch.delattr(filtering.os, "sched_getaffinity")
         monkeypatch.setattr(filtering.os, "cpu_count", lambda: cpu_count)
         filter_batch(self._above_floor(), _small_kernel(31))
-        assert pools[0] == workers
+        assert pools.built == workers
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_a_failing_block_fails_the_call_after_every_block(self, pools, failing):
+        sig = _random_signal(2, 3000, seed=33)
+        finished = []
+
+        def fill(data, out):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (failing == "caller"):
+                raise RuntimeError(f"{failing} block")
+            time.sleep(0.1)
+            finished.append(True)
+
+        with pytest.raises(RuntimeError, match=f"{failing} block"):
+            filtering._filter_channel_blocks(sig, 2, fill)
+        assert finished == [True]
+        assert np.array_equal(filter_batch(sig, _identity_kernel(), n_threads=2).data, sig.data)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_filters_on_its_own_pool(tmp_path, standard_kernel):
+    # The parent's pool has a worker thread; a child that kept the pool
+    # would hand its second block to a thread that does not exist in it.
+    sig = _random_signal(59, 528, seed=41)
+    expected = filter_batch(sig, standard_kernel, n_threads=2).data
+    path = tmp_path / "child.f64"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            filter_batch(sig, standard_kernel, n_threads=2).data.tofile(path)
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish in 60 s")
+        time.sleep(0.02)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert np.array_equal(np.fromfile(path).reshape(expected.shape), expected)
+
+
+class TestKernelSpectrumCache:
+    def test_kernels_of_equal_length_keep_their_own_spectra(self):
+        # Both kernels have 991 taps, so every transform length is shared;
+        # a cache keyed by length alone would hand one kernel's spectrum
+        # to the other.
+        kernels = [
+            design_bandpass(FilterSpec(low, high, 600.614, length_override=991))
+            for low, high in ((2.0, 30.0), (8.0, 12.0))
+        ]
+        sig = _random_signal(3, 528, seed=42)
+        plan = packetize(sig, 200)
+        uncached = []
+        for kernel in kernels:
+            batch = np.empty(sig.data.shape)
+            convolve_reflected(sig.data, kernel.taps, kernel.group_delay_samples, batch, "fft")
+            packets = np.empty(sig.data.shape)
+            for start, stop in plan.slices():
+                convolve_reflected(
+                    sig.data[:, start:stop], kernel.taps, kernel.group_delay_samples,
+                    packets[:, start:stop], "fft",
+                )
+            uncached.append((batch, packets))
+        for _ in range(3):
+            for kernel, (batch, packets) in zip(kernels, uncached):
+                assert np.array_equal(filter_batch(sig, kernel, method="fft").data, batch)
+                got = filter_per_packet(sig, kernel, plan, method="fft").data
+                assert np.array_equal(got, packets)
 
 
 @pytest.mark.parametrize("route", ["batch", "per-packet", "stateful"])

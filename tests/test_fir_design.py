@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from streamfilt import fir_design
 from streamfilt import (
     FilterSpec,
     FirKernel,
@@ -204,3 +205,28 @@ class TestExportTaps:
         assert lines[1] == "index,tap"
         values = [float(line.split(",")[1]) for line in lines[2:]]
         assert np.array_equal(np.array(values), kernel.taps)
+
+
+class TestSpectrumCache:
+    def test_equals_rfft_read_only_and_reused(self):
+        kernel = design_bandpass(FilterSpec(2.0, 30.0, 600.614, length_override=991))
+        for n in (991, 1536, 16000):
+            spectrum = kernel.spectrum(n)
+            assert np.array_equal(spectrum, np.fft.rfft(kernel.taps, n))
+            assert not spectrum.flags.writeable
+            assert kernel.spectrum(n) is spectrum
+
+    def test_bounded_oldest_first(self, monkeypatch):
+        limit = 3 * 16 * 513  # three spectra of a 1024-point transform
+        monkeypatch.setattr(fir_design, "_SPECTRUM_CACHE_BYTES", limit)
+        kernel = design_bandpass(FilterSpec(2.0, 30.0, 600.614, length_override=31))
+        first = kernel.spectrum(1024)
+        for n in (1026, 1028, 1030, 1032):
+            kernel.spectrum(n)
+            assert sum(s.nbytes for s in kernel._spectra.values()) <= limit
+        assert 1024 not in kernel._spectra and 1032 in kernel._spectra
+        assert np.array_equal(kernel.spectrum(1024), first)
+        # A spectrum larger than the whole budget is returned but not kept.
+        big = kernel.spectrum(8192)
+        assert np.array_equal(big, np.fft.rfft(kernel.taps, 8192))
+        assert 8192 not in kernel._spectra
