@@ -11,9 +11,9 @@ channel on its own, so the output bytes and the report are those of the
 whole record, while a run holds only the current block of input and its
 block of output (for compare, one block of each input). Every header and
 payload size is checked before the first block is read, and a failure in
-any block leaves no output file. filter resolves its thread count once for
-the whole record and runs every block on it. A .csv input is parsed whole,
-as one block. sweep and bench load the whole record.
+any block leaves no output file. filter and compare resolve their thread
+count once for the whole record and run every block on it. A .csv input is
+parsed whole, as one block. sweep and bench load the whole record.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from ._fsio import CSV_VERSION_LINE
+from ._threads import THREADS_ENV_VAR, resolve_threads
 from .errors import (
     CliUsageError,
     SignalFileError,
@@ -50,10 +51,8 @@ from .filtering import (
     FilterMode,
     PerPacket,
     StatefulStream,
-    THREADS_ENV_VAR,
     apply_mode,
     mode_from_name,
-    resolve_threads,
 )
 from .fir_design import FilterSpec, FirKernel, design_bandpass, export_taps_csv
 from .signal_core import (
@@ -237,8 +236,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     ) as (info_b, read_b, blocks_b):
         if info != info_b:
             raise ValidationError("signals differ in geometry or labeling, cannot compare")
+        threads = resolve_threads(None, (info.channel_count, info.sample_count))
         parts = [
-            correlate_rows(read_a(start, stop).data, read_b(start, stop).data)
+            correlate_rows(read_a(start, stop).data, read_b(start, stop).data, n_threads=threads)
             for start, stop in min(blocks_a, blocks_b, key=len)
         ]
     r, defined = (np.concatenate(column) for column in zip(*parts))

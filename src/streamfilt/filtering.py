@@ -17,42 +17,23 @@ identical for any packetization of the same signal.
 
 Channels are independent, and np.convolve and numpy.fft release the GIL, so
 every route splits its channels into contiguous blocks and filters them on
-threads, each block into its rows of the one output. Per-channel work does
-not depend on the grouping, so the output is bitwise the same for any
-thread count. The threads come from one pool per process, built on first
-use and kept, so a live packet pays a hand-off to a waiting worker rather
-than a pool's start-up. n_threads=None takes STREAMFILT_THREADS when it is
-set (1 models a single-core Edge box), else the CPUs this process may run
-on, capped by the channel count; a call with less work than
-_MIN_THREADED_WORK stays on the caller's thread.
+the package's threads (_threads.run_channel_blocks), each block into its
+rows of the one output. Per-channel work does not depend on the grouping,
+so the output is bitwise the same for any thread count.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
+from ._threads import run_channel_blocks
 from .convolution import METHODS, ReflectedConvolver, convolve_reflected, reflect_pad_columns
 from .errors import ValidationError
 from .fir_design import FirKernel
 from .signal_core import SignalMatrix
-
-THREADS_ENV_VAR = "STREAMFILT_THREADS"
-
-# Channel-samples below which n_threads=None stays on the caller's thread:
-# 59-channel packets of up to 69 samples. With the process's pool an empty
-# hand-off costs 17-26 us at the median. On 2 CPUs with the 991-tap kernel,
-# a 2-thread split of 59-channel packets of 32-1024 samples took 10-20
-# percent off each call in a fresh process, and 13-14 percent off the
-# median of the benchmark's live packets. The floor counts channel-samples
-# only: calls of 4 x 1024 and 8 x 512 took 1.6-1.9 times as long split as
-# on one thread.
-_MIN_THREADED_WORK = 4096
 
 
 @dataclass(frozen=True)
@@ -180,108 +161,16 @@ def _check_plan(signal: SignalMatrix, plan: PacketPlan) -> None:
         )
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has sched_getaffinity
-        return os.cpu_count() or 1
-
-
-def resolve_threads(n_threads: int | None, shape: tuple[int, int]) -> int:
-    """Threads a call on a (channels, samples) record runs on.
-
-    An explicit n_threads, else STREAMFILT_THREADS, else the available CPUs
-    at or above _MIN_THREADED_WORK channel-samples and 1 below it; capped
-    by the channel count. A caller that filters a record by channel blocks
-    resolves the count once for the whole record and passes it to each
-    block, so a small block is not left single threaded.
-    """
-    channels, samples = shape
-    if n_threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR)
-        if raw is not None:
-            try:
-                n_threads = int(raw)
-            except ValueError:
-                raise ValidationError(
-                    f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-                ) from None
-        elif channels * samples < _MIN_THREADED_WORK:
-            return 1
-        else:
-            n_threads = _available_cpus()
-    if n_threads < 1:
-        raise ValidationError(f"thread count must be >= 1, got {n_threads}")
-    return min(n_threads, channels)
-
-
-class _WorkerPool:
-    """The process's one thread pool, built on first use and kept.
-
-    get(workers) returns a pool of at least that many workers, replacing a
-    smaller one; a replaced pool's workers exit once the last call that
-    holds it lets it go. A forked child starts without a pool, since the
-    parent's worker threads do not exist in it.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
-        self._workers = 0
-
-    def get(self, workers: int) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._workers < workers:
-                self._pool = ThreadPoolExecutor(workers, thread_name_prefix="streamfilt")
-                self._workers = workers
-            return self._pool
-
-
-_pool = _WorkerPool()
-
-
-def _forget_pool_in_child() -> None:
-    global _pool
-    _pool = _WorkerPool()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool_in_child)
-
-
 def _filter_channel_blocks(
     signal: SignalMatrix,
     n_threads: int | None,
     fill: Callable[[np.ndarray, np.ndarray], None],
 ) -> SignalMatrix:
     """Allocate the output once and run fill(data_rows, out_rows) on
-    contiguous channel blocks of it, one block per thread.
-
-    The caller's thread fills the first block itself and the process's
-    pool the others, so the pool needs one worker fewer than the thread
-    count. A worker more would cost one more malloc arena: on 2 CPUs a
-    pool of as many workers as threads raised the peak RSS of the batch
-    CLI on the default record by 4.7 percent, against 1.0 percent this
-    way. The pool's workers, and so their arenas, live as long as the
-    process.
-    """
+    contiguous channel blocks of it, one block per thread."""
     data = signal.data
-    threads = resolve_threads(n_threads, data.shape)
     out = np.empty(data.shape, dtype=np.float64)
-    if threads == 1:
-        fill(data, out)
-    else:
-        channels = data.shape[0]
-        bounds = [i * channels // threads for i in range(threads + 1)]
-        blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        pool = _pool.get(threads - 1)
-        futures = [pool.submit(fill, data[rows], out[rows]) for rows in blocks[1:]]
-        try:
-            fill(data[blocks[0]], out[blocks[0]])
-        finally:
-            wait(futures)  # no worker still writes into out once this returns
-        for future in futures:
-            future.result()
+    run_channel_blocks(data.shape, n_threads, lambda rows: fill(data[rows], out[rows]))
     return SignalMatrix._adopt(signal.info, out)
 
 
@@ -297,8 +186,8 @@ def filter_batch(
     n_threads splits the channels into that many blocks (capped by the
     channel count); the output is bitwise the same for any thread count.
     None means STREAMFILT_THREADS when it is set, else one thread per
-    available CPU for calls of at least _MIN_THREADED_WORK channel-samples
-    and the caller's thread below that.
+    available CPU when the call has enough work and channels
+    (_threads.resolve_threads), and the caller's thread otherwise.
     """
     _check_compatible(signal, kernel)
     delay = kernel.group_delay_samples

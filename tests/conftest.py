@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from streamfilt import filtering
+from streamfilt import _threads
 from streamfilt import (
     FilterSpec,
     SignalInfo,
@@ -41,10 +41,10 @@ def full_signal() -> SignalMatrix:
 
 @pytest.fixture
 def pools(monkeypatch):
-    """What the routes ask of a fresh process pool, with 2 CPUs available
-    and STREAMFILT_THREADS unset: .built holds the max_workers of every
-    pool built, .submitted counts the tasks handed to one, and .lookups
-    the sched_getaffinity calls."""
+    """What the filtering routes and the Pearson kernel ask of a fresh
+    process pool, with 2 CPUs available and STREAMFILT_THREADS unset:
+    .built holds the max_workers of every pool built, .submitted counts the
+    tasks handed to one, and .lookups the sched_getaffinity calls."""
     seen = SimpleNamespace(built=[], submitted=0, lookups=[])
 
     class RecordingPool(ThreadPoolExecutor):
@@ -60,9 +60,9 @@ def pools(monkeypatch):
         seen.lookups.append(pid)
         return {0, 1}
 
-    monkeypatch.setattr(filtering, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(filtering, "_pool", filtering._WorkerPool())
-    monkeypatch.setattr(filtering.os, "sched_getaffinity", two_cpus, raising=False)
+    monkeypatch.setattr(_threads, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_threads, "_pool", _threads._WorkerPool())
+    monkeypatch.setattr(_threads.os, "sched_getaffinity", two_cpus, raising=False)
     monkeypatch.delenv("STREAMFILT_THREADS", raising=False)
     return seen
 

@@ -25,7 +25,7 @@ from streamfilt import (
     store_signal,
     write_report_csv,
 )
-from streamfilt import filtering, signal_core
+from streamfilt import _threads, signal_core
 from streamfilt.cli import main
 
 
@@ -334,11 +334,12 @@ class TestChannelBlocks:
         self, capsys, tmp_path, monkeypatch, pools, mode
     ):
         # 5 x 3000 splits into blocks of 3 and 2 channels. The record is
-        # above the patched threading floor and the 2-channel block alone
+        # above the patched threading floors and the 2-channel block alone
         # is not; it still runs on the record's 2 threads. Both blocks hand
         # their second half to the one pool, which the first block builds.
         monkeypatch.setattr(signal_core, "_BLOCK_CHANNEL_SAMPLES", 9000)
-        monkeypatch.setattr(filtering, "_MIN_THREADED_WORK", 10000)
+        monkeypatch.setattr(_threads, "_MIN_THREADED_WORK", 10000)
+        monkeypatch.setattr(_threads, "_MIN_CHANNELS_PER_THREAD", 1)
         _store_random(tmp_path / "rec", 5, 3000, seed=9)
         code, _, err = run_cli(
             capsys, "filter", "--in", str(tmp_path / "rec"), "--out", str(tmp_path / "o"),
@@ -510,8 +511,9 @@ class TestChannelBlockFailures:
             tracemalloc.stop()
         capsys.readouterr()
         # Two blocks (input and output, or the two inputs) plus scratch: the
-        # FFT engine's overlap-save buffers, or Pearson's two centred rows.
-        # Measured: 2.1-2.5 blocks for filter, 3.0 for compare.
+        # FFT engine's overlap-save buffers, or Pearson's two centred chunks.
+        # Measured: 2.1-2.5 blocks for filter, 2.1 for compare (3.05 when
+        # Pearson centred whole rows).
         block = 2 * 100000 * 8
         assert peak <= 3.5 * block
 
@@ -634,16 +636,53 @@ class TestThreadsEnv:
         assert not (tmp_path / "o.f64").exists()
         assert not (tmp_path / "o.json").exists()
 
+    def test_bad_env_threads_exit_1_on_compare(self, capsys, tmp_path, monkeypatch):
+        base = tmp_path / "sig"
+        gen_small(capsys, base)
+        monkeypatch.setenv("STREAMFILT_THREADS", "0")
+        code, out, err = run_cli(capsys, "compare", "--a", str(base), "--b", str(base))
+        assert code == 1
+        assert err.splitlines()[1].startswith("error: ")
+        assert out == ""
 
-def _run_fresh(script, *args):
+
+def _run_fresh(script, *args, env_overrides=None):
     """Run script in a new interpreter that imports this checkout's streamfilt."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(streamfilt.__file__)))
-    env = dict(os.environ)
+    env = dict(os.environ, **(env_overrides or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+class TestCompareDeterminism:
+    def test_report_bytes_do_not_depend_on_blas_or_thread_count(self, tmp_path):
+        # Rows of 30000 samples: long enough for OpenBLAS to split a dot
+        # product across its threads, several chunks of the Pearson kernel.
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((4, 30000)) * 3.0 + 1.0
+        b = a + 0.3 * rng.standard_normal((4, 30000))
+        info = SignalInfo.with_default_labels(600.614, 4, 30000)
+        store_signal(SignalMatrix(info, a), tmp_path / "a")
+        store_signal(SignalMatrix(info, b), tmp_path / "b")
+        script = "import sys\nfrom streamfilt.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        reports = {}
+        for blas in ("1", "2"):
+            for threads in ("1", "2"):
+                out = tmp_path / f"report-{blas}-{threads}.csv"
+                result = _run_fresh(
+                    script, "compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"),
+                    "--out", str(out),
+                    env_overrides={"OPENBLAS_NUM_THREADS": blas, "STREAMFILT_THREADS": threads},
+                )
+                assert result.returncode == 0, result.stderr
+                reports[blas, threads] = out.read_bytes()
+        assert len(set(reports.values())) == 1
+        expected = compare_channels(SignalMatrix(info, a), SignalMatrix(info, b), "x")
+        lines = reports["1", "1"].decode().splitlines()[2:6]
+        assert [float(line.split(",")[1]) for line in lines] == list(expected.per_channel_r)
 
 
 class TestImportCost:

@@ -1,18 +1,26 @@
 from __future__ import annotations
 
 import math
+import os
+import resource
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamfilt import (
     FidelityReport,
     UndefinedCorrelationError,
     ValidationError,
     compare_channels,
+    filter_batch,
     pearson,
     write_report_csv,
 )
+from streamfilt.fidelity import _CHUNK, correlate_rows
 
 from conftest import make_signal
 
@@ -144,6 +152,127 @@ class TestCompareChannels:
             compare_channels(
                 make_signal(data, rate=100.0), make_signal(data, rate=200.0), "rate"
             )
+
+
+def _pearson_or_nan(x, y):
+    try:
+        return pearson(x, y)
+    except UndefinedCorrelationError:
+        return math.nan
+
+
+def _rows(kinds, width, scales, seed):
+    """Pairs of rows of the given kinds, each kind at its own magnitude."""
+    rng = np.random.default_rng(seed)
+    x = np.empty((len(kinds), width))
+    y = np.empty_like(x)
+    for i, (kind, scale) in enumerate(zip(kinds, scales)):
+        x[i] = scale * (rng.standard_normal(width) + 3.0)
+        y[i] = {
+            "noisy": x[i] + scale * rng.standard_normal(width),
+            "identical": x[i],
+            "negated": -x[i],
+            "constant": scale,
+            "flat-tail": x[i],
+        }[kind]
+        if kind == "flat-tail":  # constant but for its last sample
+            x[i, :-1] = scale
+    return x, y
+
+
+class TestKernel:
+    """correlate_rows scores every row by itself: the same bits as pearson
+    on that row, for any grouping of the rows and any thread count."""
+
+    KINDS = ["noisy", "identical", "negated", "constant", "flat-tail"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+        width=st.one_of(
+            st.integers(2, _CHUNK - 1),
+            st.just(_CHUNK),
+            st.integers(_CHUNK + 1, 3 * _CHUNK + 7),
+        ),
+        exponents=st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6),
+        cuts=st.lists(st.booleans(), min_size=5, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        kinds=["noisy", "negated", "identical"], width=_CHUNK, exponents=[-6, 6, 0, 0, 0, 0],
+        cuts=[True] * 5, seed=1,
+    )
+    def test_rows_equal_pearson_for_any_grouping_and_threads(
+        self, kinds, width, exponents, cuts, seed
+    ):
+        x, y = _rows(kinds, width, [10.0**e for e in exponents], seed)
+        expected = np.array([_pearson_or_nan(a, b) for a, b in zip(x, y)])
+        for kind, r in zip(kinds, expected):
+            if kind == "constant":
+                assert math.isnan(r)
+            elif kind in ("identical", "negated"):
+                assert r == (1.0 if kind == "identical" else -1.0)
+            else:
+                assert -1.0 <= r <= 1.0
+        edges = [0] + [i + 1 for i, cut in enumerate(cuts[: len(kinds) - 1]) if cut]
+        edges.append(len(kinds))
+        grouped = np.concatenate(
+            [correlate_rows(x[lo:hi], y[lo:hi])[0] for lo, hi in zip(edges, edges[1:])]
+        )
+        np.testing.assert_array_equal(grouped, expected)
+        for threads in (1, 2, 3):
+            r, defined = correlate_rows(x, y, n_threads=threads)
+            np.testing.assert_array_equal(r, expected)
+            np.testing.assert_array_equal(defined, ~np.isnan(expected))
+            with mock.patch.dict(os.environ, {"STREAMFILT_THREADS": str(threads)}):
+                np.testing.assert_array_equal(correlate_rows(x, y)[0], expected)
+
+    def test_rows_spanning_several_chunks_match_the_fsum_oracle(self):
+        rng = np.random.default_rng(10)
+        worst = 0.0
+        for offset, scale in ((0.0, 1.0), (1e3, 1e-3), (-5e5, 10.0), (0.0, 1e-6), (1.0, 1e6)):
+            x = offset + scale * rng.standard_normal(20000)
+            y = 0.7 * x + scale * rng.standard_normal(20000) - offset
+            worst = max(worst, abs(pearson(x, y) - pearson_oracle(x, y)))
+        assert worst <= 1e-12
+
+    def test_non_finite_row_raises(self):
+        x = np.ones((3, 5000))
+        x[:, ::2] = 2.0
+        y = x.copy()
+        y[2, 4500] = np.inf
+        with pytest.raises(ValidationError, match="finite"):
+            correlate_rows(x, y)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValidationError):
+            correlate_rows(np.zeros((2, 10)), np.zeros((3, 10)))
+
+    def test_a_threaded_compare_shares_the_filtering_pool(self, pools, standard_kernel):
+        rng = np.random.default_rng(11)
+        a = make_signal(rng.standard_normal((32, 4096)))
+        b = filter_batch(a, standard_kernel)
+        assert pools.built == [1]
+        assert pools.submitted == 1
+        report = compare_channels(a, b, "pool")
+        assert pools.built == [1]
+        assert pools.submitted == 2
+        r, _ = correlate_rows(a.data, b.data, n_threads=1)
+        np.testing.assert_array_equal(report.per_channel_r, r)
+
+    def test_no_thread_spins_after_a_compare(self):
+        # A BLAS dot product on rows this long ran on the library's own
+        # threads, which kept spinning for a while after the call returned.
+        rng = np.random.default_rng(12)
+        a = make_signal(rng.standard_normal((4, 100_000)))
+        b = make_signal(a.data + rng.standard_normal((4, 100_000)))
+        time.sleep(0.3)  # let any earlier test's threads settle
+        compare_channels(a, b, "spin")
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        before = usage.ru_utime + usage.ru_stime
+        time.sleep(0.3)
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        assert usage.ru_utime + usage.ru_stime - before < 0.03
 
 
 class TestFidelityReport:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamfilt import filtering
+from streamfilt import _threads, filtering
 from streamfilt import (
     MODE_NAMES,
     Batch,
@@ -408,7 +408,8 @@ class TestThreads:
 
     @staticmethod
     def _above_floor():
-        return _random_signal(2, filtering._MIN_THREADED_WORK // 2, seed=30)
+        channels = 2 * _threads._MIN_CHANNELS_PER_THREAD
+        return _random_signal(channels, _threads._MIN_THREADED_WORK // channels, seed=30)
 
     def test_live_packet_splits_on_one_pool(self, pools, standard_kernel):
         sig = _random_signal(59, 1024, seed=29)
@@ -423,11 +424,27 @@ class TestThreads:
         assert len(pools.lookups) == 9
 
     def test_below_the_floor_stays_on_the_callers_thread(self, pools):
-        sig = _random_signal(4, filtering._MIN_THREADED_WORK // 4 - 1, seed=31)
+        sig = _random_signal(4, _threads._MIN_THREADED_WORK // 4 - 1, seed=31)
         for run in self._routes(sig, _small_kernel(31), 400).values():
             run()
         assert pools.built == []
         assert pools.submitted == 0
+
+    def test_a_headset_of_eight_channels_stays_on_the_callers_thread(self, pools):
+        # 8 x 512 is above the work floor, but 4 channels a thread split
+        # took 1.5-2 times as long as one thread.
+        sig = _random_signal(8, 512, seed=34)
+        for run in self._routes(sig, _small_kernel(31), 400).values():
+            run()
+        assert pools.built == []
+        assert pools.submitted == 0
+
+    def test_the_shortest_split_packet_of_the_record_splits(self, pools):
+        sig = _random_signal(59, 70, seed=35)
+        for run in self._routes(sig, _small_kernel(31), 400).values():
+            run()
+        assert pools.built == [1]
+        assert pools.submitted == 3
 
     @pytest.mark.parametrize("route", ["batch", "per-packet", "stateful"])
     def test_above_the_floor_the_caller_and_one_worker_split(self, pools, route):
@@ -457,8 +474,8 @@ class TestThreads:
 
     @pytest.mark.parametrize("cpu_count,workers", [(2, [1]), (None, [])])
     def test_fallback_without_sched_getaffinity(self, pools, monkeypatch, cpu_count, workers):
-        monkeypatch.delattr(filtering.os, "sched_getaffinity")
-        monkeypatch.setattr(filtering.os, "cpu_count", lambda: cpu_count)
+        monkeypatch.delattr(_threads.os, "sched_getaffinity")
+        monkeypatch.setattr(_threads.os, "cpu_count", lambda: cpu_count)
         filter_batch(self._above_floor(), _small_kernel(31))
         assert pools.built == workers
 
