@@ -9,8 +9,9 @@ to a waiting worker rather than a pool's start-up, and no library's own
 thread pool is left spinning after a call. n_threads=None takes
 STREAMFILT_THREADS when it is set (1 models a single-core Edge box), else
 the CPUs this process may run on, capped by the channel count; a call with
-less work than _MIN_THREADED_WORK, or fewer than _MIN_CHANNELS_PER_THREAD
-channels for each thread, stays on the caller's thread.
+less work than _MIN_THREADED_WORK stays on the caller's thread, and a short
+call (a live packet) gets at most one thread per _MIN_CHANNELS_PER_THREAD
+channels.
 """
 
 from __future__ import annotations
@@ -32,15 +33,18 @@ THREADS_ENV_VAR = "STREAMFILT_THREADS"
 # median of the benchmark's live packets.
 _MIN_THREADED_WORK = 4096
 
-# Channels each thread must get before n_threads=None splits a call. On 2
-# CPUs with the 991-tap kernel (median of 150 interleaved calls each way), a
-# 2-thread split of 4, 8 and 16 channels x 256-1024 samples took 1.07-1.98
-# times as long as one thread. 20-28 channels lost at 256 samples (20 also
-# at 512), 32 channels took 0.89-0.97 of the one-thread time from 512
-# samples, and 59 channels 0.85-0.91 at every size. So a headset of 8-16
-# channels filters on the caller's thread, and the 59-channel record splits
-# in two.
+# Channels each thread must get before n_threads=None splits a call of at
+# most _SHORT_CALL_SAMPLES samples a channel. On 2 CPUs with the 991-tap
+# kernel (median of 150 interleaved calls each way), a 2-thread split of 4,
+# 8 and 16 channels x 256-1024 samples took 1.07-1.98 times as long as one
+# thread. 20-28 channels lost at 256 samples (20 also at 512), 32 channels
+# took 0.89-0.97 of the one-thread time from 512 samples, and 59 channels
+# 0.85-0.91 at every size. So a live packet of an 8-16 channel headset
+# filters on the caller's thread, and one of the 59-channel record splits.
+# Longer calls were not timed this way and keep every CPU: a batch filter of
+# 8-16 channels x 166,800 samples took 0.55-0.62 of the one-thread time.
 _MIN_CHANNELS_PER_THREAD = 16
+_SHORT_CALL_SAMPLES = 1024
 
 
 def _available_cpus() -> int:
@@ -54,11 +58,12 @@ def resolve_threads(n_threads: int | None, shape: tuple[int, int]) -> int:
     """Threads a call on a (channels, samples) record runs on.
 
     An explicit n_threads, else STREAMFILT_THREADS, else the available CPUs
-    at or above _MIN_THREADED_WORK channel-samples and _MIN_CHANNELS_PER_THREAD
-    channels per thread, and 1 below them; capped by the channel count. A
-    caller that reads a record by channel blocks resolves the count once for
-    the whole record and passes it to each block, so a small block is not
-    left single threaded.
+    at or above _MIN_THREADED_WORK channel-samples and 1 below it, with at
+    least _MIN_CHANNELS_PER_THREAD channels a thread for a call of at most
+    _SHORT_CALL_SAMPLES samples; capped by the channel count. A caller that
+    reads a record by channel blocks resolves the count once for the whole
+    record and passes it to each block, so a small block is not left single
+    threaded.
     """
     channels, samples = shape
     if n_threads is None:
@@ -73,7 +78,9 @@ def resolve_threads(n_threads: int | None, shape: tuple[int, int]) -> int:
         elif channels * samples < _MIN_THREADED_WORK:
             return 1
         else:
-            return max(1, min(_available_cpus(), channels // _MIN_CHANNELS_PER_THREAD))
+            n_threads = _available_cpus()
+            if samples <= _SHORT_CALL_SAMPLES:
+                n_threads = max(1, min(n_threads, channels // _MIN_CHANNELS_PER_THREAD))
     if n_threads < 1:
         raise ValidationError(f"thread count must be >= 1, got {n_threads}")
     return min(n_threads, channels)

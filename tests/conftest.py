@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import streamfilt
 from streamfilt import _threads
 from streamfilt import (
     FilterSpec,
@@ -41,10 +45,10 @@ def full_signal() -> SignalMatrix:
 
 @pytest.fixture
 def pools(monkeypatch):
-    """What the filtering routes and the Pearson kernel ask of a fresh
-    process pool, with 2 CPUs available and STREAMFILT_THREADS unset:
-    .built holds the max_workers of every pool built, .submitted counts the
-    tasks handed to one, and .lookups the sched_getaffinity calls."""
+    """What the routes ask of a fresh process pool, with 2 CPUs available
+    and STREAMFILT_THREADS unset: .built holds the max_workers of every
+    pool built, .submitted counts the tasks handed to one, and .lookups
+    the sched_getaffinity calls."""
     seen = SimpleNamespace(built=[], submitted=0, lookups=[])
 
     class RecordingPool(ThreadPoolExecutor):
@@ -71,3 +75,14 @@ def make_signal(data, rate: float = 600.614) -> SignalMatrix:
     data = np.asarray(data, dtype=np.float64)
     info = SignalInfo.with_default_labels(rate, data.shape[0], data.shape[1])
     return SignalMatrix(info=info, data=data)
+
+
+def run_fresh(script, *args, env_overrides=None):
+    """Run script in a new interpreter that imports this checkout's streamfilt."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(streamfilt.__file__)))
+    env = dict(os.environ, **(env_overrides or {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )

@@ -2,14 +2,11 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import streamfilt
 from streamfilt import (
     MODE_NAMES,
     FilterSpec,
@@ -27,6 +24,8 @@ from streamfilt import (
 )
 from streamfilt import _threads, signal_core
 from streamfilt.cli import main
+
+from conftest import run_fresh
 
 
 def run_cli(capsys, *argv):
@@ -334,12 +333,11 @@ class TestChannelBlocks:
         self, capsys, tmp_path, monkeypatch, pools, mode
     ):
         # 5 x 3000 splits into blocks of 3 and 2 channels. The record is
-        # above the patched threading floors and the 2-channel block alone
+        # above the patched threading floor and the 2-channel block alone
         # is not; it still runs on the record's 2 threads. Both blocks hand
         # their second half to the one pool, which the first block builds.
         monkeypatch.setattr(signal_core, "_BLOCK_CHANNEL_SAMPLES", 9000)
         monkeypatch.setattr(_threads, "_MIN_THREADED_WORK", 10000)
-        monkeypatch.setattr(_threads, "_MIN_CHANNELS_PER_THREAD", 1)
         _store_random(tmp_path / "rec", 5, 3000, seed=9)
         code, _, err = run_cli(
             capsys, "filter", "--in", str(tmp_path / "rec"), "--out", str(tmp_path / "o"),
@@ -646,17 +644,6 @@ class TestThreadsEnv:
         assert out == ""
 
 
-def _run_fresh(script, *args, env_overrides=None):
-    """Run script in a new interpreter that imports this checkout's streamfilt."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(streamfilt.__file__)))
-    env = dict(os.environ, **(env_overrides or {}))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", script, *args],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-
-
 class TestCompareDeterminism:
     def test_report_bytes_do_not_depend_on_blas_or_thread_count(self, tmp_path):
         # Rows of 30000 samples: long enough for OpenBLAS to split a dot
@@ -672,7 +659,7 @@ class TestCompareDeterminism:
         for blas in ("1", "2"):
             for threads in ("1", "2"):
                 out = tmp_path / f"report-{blas}-{threads}.csv"
-                result = _run_fresh(
+                result = run_fresh(
                     script, "compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"),
                     "--out", str(out),
                     env_overrides={"OPENBLAS_NUM_THREADS": blas, "STREAMFILT_THREADS": threads},
@@ -688,7 +675,7 @@ class TestCompareDeterminism:
 class TestImportCost:
     def test_cli_import_loads_no_scipy(self):
         script = "import json, sys, streamfilt.cli; print(json.dumps(sorted(sys.modules)))"
-        result = _run_fresh(script)
+        result = run_fresh(script)
         assert result.returncode == 0, result.stderr
         loaded = json.loads(result.stdout)
         assert [m for m in loaded if m.startswith("scipy")] == []
@@ -729,7 +716,7 @@ class TestImportCost:
             "    json.dump(sorted(sys.modules), f)\n"
             "sys.exit(code)\n"
         )
-        result = _run_fresh(script, str(modules), *argv, str(tmp_path / "out"))
+        result = run_fresh(script, str(modules), *argv, str(tmp_path / "out"))
         assert result.returncode == 0, result.stderr
         assert list(tmp_path.glob("out*"))
         loaded = json.loads(modules.read_text())

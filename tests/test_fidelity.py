@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import math
 import os
-import resource
-import time
 from unittest import mock
 
 import numpy as np
@@ -22,7 +20,7 @@ from streamfilt import (
 )
 from streamfilt.fidelity import _CHUNK, correlate_rows
 
-from conftest import make_signal
+from conftest import make_signal, run_fresh
 
 
 def pearson_oracle(x, y):
@@ -263,16 +261,25 @@ class TestKernel:
     def test_no_thread_spins_after_a_compare(self):
         # A BLAS dot product on rows this long ran on the library's own
         # threads, which kept spinning for a while after the call returned.
-        rng = np.random.default_rng(12)
-        a = make_signal(rng.standard_normal((4, 100_000)))
-        b = make_signal(a.data + rng.standard_normal((4, 100_000)))
-        time.sleep(0.3)  # let any earlier test's threads settle
-        compare_channels(a, b, "spin")
-        usage = resource.getrusage(resource.RUSAGE_SELF)
-        before = usage.ru_utime + usage.ru_stime
-        time.sleep(0.3)
-        usage = resource.getrusage(resource.RUSAGE_SELF)
-        assert usage.ru_utime + usage.ru_stime - before < 0.03
+        # A fresh interpreter, so that nothing but the compare has run.
+        script = (
+            "import resource, time\n"
+            "import numpy as np\n"
+            "from streamfilt import SignalInfo, SignalMatrix, compare_channels\n"
+            "rng = np.random.default_rng(12)\n"
+            "a = rng.standard_normal((4, 100_000))\n"
+            "b = a + rng.standard_normal((4, 100_000))\n"
+            "info = SignalInfo.with_default_labels(600.614, 4, 100_000)\n"
+            "compare_channels(SignalMatrix(info, a), SignalMatrix(info, b), 'spin')\n"
+            "usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+            "before = usage.ru_utime + usage.ru_stime\n"
+            "time.sleep(0.3)\n"
+            "usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+            "print(usage.ru_utime + usage.ru_stime - before)\n"
+        )
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) < 0.03
 
 
 class TestFidelityReport:

@@ -408,8 +408,7 @@ class TestThreads:
 
     @staticmethod
     def _above_floor():
-        channels = 2 * _threads._MIN_CHANNELS_PER_THREAD
-        return _random_signal(channels, _threads._MIN_THREADED_WORK // channels, seed=30)
+        return _random_signal(2, _threads._MIN_THREADED_WORK // 2, seed=30)
 
     def test_live_packet_splits_on_one_pool(self, pools, standard_kernel):
         sig = _random_signal(59, 1024, seed=29)
@@ -445,6 +444,17 @@ class TestThreads:
             run()
         assert pools.built == [1]
         assert pools.submitted == 3
+
+    def test_only_short_calls_are_held_to_the_channels_floor(self, pools, monkeypatch):
+        # The floor was timed on packets of up to _SHORT_CALL_SAMPLES; a
+        # longer call of a small headset keeps every CPU.
+        monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: set(range(4)))
+        short = _threads._SHORT_CALL_SAMPLES
+        assert _threads.resolve_threads(None, (8, short)) == 1
+        assert _threads.resolve_threads(None, (8, short + 1)) == 4
+        assert _threads.resolve_threads(None, (16, 166_800)) == 4
+        assert _threads.resolve_threads(None, (59, 400)) == 3
+        assert _threads.resolve_threads(None, (59, 166_800)) == 4
 
     @pytest.mark.parametrize("route", ["batch", "per-packet", "stateful"])
     def test_above_the_floor_the_caller_and_one_worker_split(self, pools, route):
