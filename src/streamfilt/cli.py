@@ -9,11 +9,14 @@ filter and compare stream a stored record through its channel blocks
 (signal_core.channel_blocks): every route and the Pearson score treat each
 channel on its own, so the output bytes and the report are those of the
 whole record, while a run holds only the current block of input and its
-block of output (for compare, one block of each input). Every header and
-payload size is checked before the first block is read, and a failure in
-any block leaves no output file. filter and compare resolve their thread
-count once for the whole record and run every block on it. A .csv input is
-parsed whole, as one block. sweep and bench load the whole record.
+block of output (for compare, one block of each input). Each of those is
+one buffer kept for the whole run, the size of the first and largest
+block: every block is read into, filtered into and written from the same
+pages. Every header and payload size is checked before the first block is
+read, and a failure in any block leaves no output file. filter and compare
+resolve their thread count once for the whole record and run every block
+on it. A .csv input is parsed whole, as one block. sweep and bench load
+the whole record.
 """
 
 from __future__ import annotations
@@ -48,13 +51,12 @@ from .fidelity import channel_report, correlate_rows, write_report_csv
 from .filtering import (
     MODE_NAMES,
     Batch,
-    FilterMode,
     PerPacket,
     StatefulStream,
     apply_mode,
     mode_from_name,
 )
-from .fir_design import FilterSpec, FirKernel, design_bandpass, export_taps_csv
+from .fir_design import FilterSpec, design_bandpass, export_taps_csv
 from .signal_core import (
     FORMAT_VERSION,
     SineComponent,
@@ -121,16 +123,18 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 def _open_input(path: str, csv_rate: float | None):
     """Yield (info, read, blocks) for an input path.
 
-    read(start, stop) returns channels [start, stop) as a SignalMatrix, and
-    blocks lists the (start, stop) ranges to read it by: the channel blocks
-    of a stored record, and the whole record for a .csv input, which is
-    parsed whole.
+    read(start, stop, out=None) returns channels [start, stop) as a
+    SignalMatrix, read into out when it is given, and blocks lists the
+    (start, stop) ranges to read it by: the channel blocks of a stored
+    record, and the whole record for a .csv input, which is parsed whole
+    and returned as parsed, out or not.
     """
     if path.endswith(".csv"):
         if csv_rate is None:
             raise ValidationError("--rate is required when reading a .csv input")
         signal = load_signal_csv(path, csv_rate)
-        yield signal.info, lambda start, stop: signal, [(0, signal.info.channel_count)]
+        blocks = [(0, signal.info.channel_count)]
+        yield signal.info, lambda start, stop, out=None: signal, blocks
         return
     with SignalReader(path) as reader:
         yield reader.info, reader.read, channel_blocks(reader.info)
@@ -139,6 +143,13 @@ def _open_input(path: str, csv_rate: float | None):
 def _load_input(path: str, csv_rate: float | None) -> SignalMatrix:
     with _open_input(path, csv_rate) as (info, read, _):
         return read(0, info.channel_count)
+
+
+def _block_buffer(info: SignalInfo, blocks: list[tuple[int, int]]) -> np.ndarray:
+    """A buffer for the first, largest, of blocks; block (start, stop) uses
+    its first stop - start rows."""
+    start, stop = blocks[0]
+    return np.empty((stop - start, info.sample_count), dtype=np.float64)
 
 
 def _filter_spec(args: argparse.Namespace, sampling_rate_hz: float) -> FilterSpec:
@@ -207,26 +218,22 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     with _open_input(args.input, args.rate) as (info, read, blocks):
         kernel = design_bandpass(_filter_spec(args, info.sampling_rate_hz))
         threads = resolve_threads(None, (info.channel_count, info.sample_count))
+        block_in, block_out = _block_buffer(info, blocks), _block_buffer(info, blocks)
         with signal_writer(args.out, info) as write:
             for start, stop in blocks:
-                # Read as an argument, so the block is freed when the call
-                # returns, before the next one is read.
-                mode = _filter_block(read(start, stop), kernel, args, threads, write)
+                rows = stop - start
+                block = read(start, stop, block_in[:rows])
+                mode = mode_from_name(args.mode, block, args.packet_size)
+                filtered = apply_mode(
+                    block, kernel, mode, method=args.method, n_threads=threads,
+                    out=block_out[:rows],
+                )
+                write(filtered.data)
     print(
         f"filtered {info.channel_count} channels x {info.sample_count} samples "
         f"in mode {mode.describe()} with {kernel.length} taps -> {args.out}"
     )
     return 0
-
-
-def _filter_block(
-    block: SignalMatrix, kernel: FirKernel, args: argparse.Namespace, threads: int, write
-) -> FilterMode:
-    """Filter one channel block in the mode args name on the record's thread
-    count, write it, and return the mode."""
-    mode = mode_from_name(args.mode, block, args.packet_size)
-    write(apply_mode(block, kernel, mode, method=args.method, n_threads=threads).data)
-    return mode
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -237,9 +244,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if info != info_b:
             raise ValidationError("signals differ in geometry or labeling, cannot compare")
         threads = resolve_threads(None, (info.channel_count, info.sample_count))
+        blocks = min(blocks_a, blocks_b, key=len)
+        block_a, block_b = _block_buffer(info, blocks), _block_buffer(info, blocks)
         parts = [
-            correlate_rows(read_a(start, stop).data, read_b(start, stop).data, n_threads=threads)
-            for start, stop in min(blocks_a, blocks_b, key=len)
+            correlate_rows(
+                read_a(start, stop, block_a[: stop - start]).data,
+                read_b(start, stop, block_b[: stop - start]).data,
+                n_threads=threads,
+            )
+            for start, stop in blocks
         ]
     r, defined = (np.concatenate(column) for column in zip(*parts))
     report = channel_report(label, info.channel_labels, r, defined)

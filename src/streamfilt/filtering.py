@@ -4,9 +4,10 @@ All three produce exactly sample_count output samples per channel. The
 filter delay of (length - 1) / 2 samples is compensated by reflect-padding
 and trimming, so output sample k lines up with input sample k.
 
-Each route allocates its output once and writes every piece of work into
-its slice of it; none builds a padded copy of the record or a list of parts
-to concatenate. Batch convolves the whole record as if reflect-padded once.
+Each route allocates its output once, or takes the caller's out, and
+writes every piece of work into its slice of it; none builds a padded copy
+of the record or a list of parts to concatenate. Batch convolves the whole
+record as if reflect-padded once.
 Per-packet treats every packet as its own tiny record (reflect-pad, filter,
 trim, written into the packet's columns), which reproduces the boundary
 artifacts of naive real-time filtering and is deliberately not equivalent
@@ -33,7 +34,7 @@ from ._threads import run_channel_blocks
 from .convolution import METHODS, ReflectedConvolver, convolve_reflected, reflect_pad_columns
 from .errors import ValidationError
 from .fir_design import FirKernel
-from .signal_core import SignalMatrix
+from .signal_core import SignalMatrix, _check_out
 
 
 @dataclass(frozen=True)
@@ -165,11 +166,23 @@ def _filter_channel_blocks(
     signal: SignalMatrix,
     n_threads: int | None,
     fill: Callable[[np.ndarray, np.ndarray], None],
+    out: np.ndarray | None = None,
 ) -> SignalMatrix:
-    """Allocate the output once and run fill(data_rows, out_rows) on
-    contiguous channel blocks of it, one block per thread."""
+    """Run fill(data_rows, out_rows) on contiguous channel blocks of the
+    output, one block per thread, and return it.
+
+    The output is allocated once, or is out: a writable C-contiguous
+    float64 array of the signal's shape that shares no memory with it,
+    else ValidationError. The result's data is then a read-only view of
+    out, which changes when the caller writes to out again.
+    """
     data = signal.data
-    out = np.empty(data.shape, dtype=np.float64)
+    if out is None:
+        out = np.empty(data.shape, dtype=np.float64)
+    else:
+        out = _check_out(out, data.shape, "float64")
+        if np.shares_memory(out, data):
+            raise ValidationError("out shares memory with the signal it filters")
     run_channel_blocks(data.shape, n_threads, lambda rows: fill(data[rows], out[rows]))
     return SignalMatrix._adopt(signal.info, out)
 
@@ -180,6 +193,7 @@ def filter_batch(
     *,
     method: str = "auto",
     n_threads: int | None = None,
+    out: np.ndarray | None = None,
 ) -> SignalMatrix:
     """Zero-phase filter of the whole record.
 
@@ -187,7 +201,8 @@ def filter_batch(
     channel count); the output is bitwise the same for any thread count.
     None means STREAMFILT_THREADS when it is set, else one thread per
     available CPU when the call has enough work and channels
-    (_threads.resolve_threads), and the caller's thread otherwise.
+    (_threads.resolve_threads), and the caller's thread otherwise. out, if
+    given, receives the output, as in _filter_channel_blocks.
     """
     _check_compatible(signal, kernel)
     delay = kernel.group_delay_samples
@@ -195,7 +210,7 @@ def filter_batch(
     def fill(data: np.ndarray, out: np.ndarray) -> None:
         convolve_reflected(data, kernel.taps, delay, out, method, kernel.spectrum)
 
-    return _filter_channel_blocks(signal, n_threads, fill)
+    return _filter_channel_blocks(signal, n_threads, fill, out)
 
 
 def filter_per_packet(
@@ -205,14 +220,15 @@ def filter_per_packet(
     *,
     method: str = "auto",
     n_threads: int | None = None,
+    out: np.ndarray | None = None,
 ) -> SignalMatrix:
     """Filter every packet as its own record, into its columns of the output.
 
     Each packet gets its own reflect padding and trim, so packet boundaries
     leave artifacts. That is the point: this models live filtering that
     restarts on every packet. Packets shorter than the padding (small tails)
-    still work, the reflection just wraps. n_threads splits the channels as
-    in filter_batch, with the same meaning of None.
+    still work, the reflection just wraps. n_threads and out are as in
+    filter_batch.
     """
     _check_compatible(signal, kernel)
     _check_plan(signal, plan)
@@ -231,7 +247,7 @@ def filter_per_packet(
                 )
             convolvers[size](data[:, start:stop], out[:, start:stop])
 
-    return _filter_channel_blocks(signal, n_threads, fill)
+    return _filter_channel_blocks(signal, n_threads, fill, out)
 
 
 def filter_stateful_stream(
@@ -240,6 +256,7 @@ def filter_stateful_stream(
     plan: PacketPlan,
     *,
     n_threads: int | None = None,
+    out: np.ndarray | None = None,
 ) -> SignalMatrix:
     """Filter packets while carrying the last length - 1 samples of state.
 
@@ -248,8 +265,8 @@ def filter_stateful_stream(
     would see in filter_batch. Uses the direct engine only: its per-window
     dot products do not depend on packet boundaries, which makes the output
     bitwise identical across packetizations (not merely close). n_threads
-    splits the channels as in filter_batch, with the same meaning of None;
-    each block carries its own rows of the state.
+    and out are as in filter_batch; each block carries its own rows of the
+    state.
     """
     _check_compatible(signal, kernel)
     _check_plan(signal, plan)
@@ -271,7 +288,7 @@ def filter_stateful_stream(
             else:
                 state = ext
 
-    return _filter_channel_blocks(signal, n_threads, fill)
+    return _filter_channel_blocks(signal, n_threads, fill, out)
 
 
 def _stream_chunks(
@@ -290,21 +307,24 @@ def apply_mode(
     *,
     method: str = "auto",
     n_threads: int | None = None,
+    out: np.ndarray | None = None,
 ) -> SignalMatrix:
     """Dispatch to the filtering front end named by mode.
 
     method applies to batch and per-packet; the stream always runs on the
-    direct engine, so it takes only "auto" or "direct". n_threads applies
-    to every mode.
+    direct engine, so it takes only "auto" or "direct". n_threads and out
+    apply to every mode.
     """
     if isinstance(mode, Batch):
-        return filter_batch(signal, kernel, method=method, n_threads=n_threads)
+        return filter_batch(signal, kernel, method=method, n_threads=n_threads, out=out)
     if isinstance(mode, PerPacket):
-        return filter_per_packet(signal, kernel, mode.plan, method=method, n_threads=n_threads)
+        return filter_per_packet(
+            signal, kernel, mode.plan, method=method, n_threads=n_threads, out=out
+        )
     if isinstance(mode, StatefulStream):
         if method not in METHODS[:2]:
             raise ValidationError(
                 f"the stateful stream runs on the direct engine, got method {method!r}"
             )
-        return filter_stateful_stream(signal, kernel, mode.plan, n_threads=n_threads)
+        return filter_stateful_stream(signal, kernel, mode.plan, n_threads=n_threads, out=out)
     raise ValidationError(f"unknown filter mode {mode!r}")

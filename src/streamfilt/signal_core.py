@@ -8,11 +8,14 @@ order (channel 0 complete, then channel 1, ...).
 Because the payload is channel-major, a run of channels is one contiguous
 run of bytes, so a record can be read and written by channel blocks:
 SignalReader checks the header and the payload size up front and then reads
-any channel range into a fresh array, validated on its own; signal_writer
-appends channel blocks to an atomic temporary file. load_signal and
-store_signal are their one-block cases. channel_blocks splits a record into
-the fewest equal blocks of at most _BLOCK_CHANNEL_SAMPLES channel-samples,
-so a caller that filters channel by channel holds one block at a time.
+any channel range, validated on its own, into a fresh array or into a
+buffer the caller keeps from block to block; signal_writer appends channel
+blocks to an atomic temporary file. load_signal and store_signal are their
+one-block cases. channel_blocks splits a record into the fewest equal
+blocks of at most _BLOCK_CHANNEL_SAMPLES channel-samples, largest first, so
+a caller that filters channel by channel holds one block at a time, and can
+read and filter every block through the pages of one buffer sized for the
+first.
 """
 
 from __future__ import annotations
@@ -129,6 +132,25 @@ def _validated(info: SignalInfo, data: np.ndarray) -> np.ndarray:
             raise ValidationError("signal data contains non-finite samples")
     arr.setflags(write=False)
     return arr
+
+
+def _check_out(out: np.ndarray, shape: tuple[int, int], dtype: str) -> np.ndarray:
+    """A view of out, a caller's buffer to write a result of shape and dtype
+    into; anything but a writable C-contiguous array of exactly that shape
+    and dtype raises ValidationError.
+
+    The result is wrapped in the view, so making it read-only leaves the
+    caller's buffer writable for the next call.
+    """
+    if not isinstance(out, np.ndarray):
+        raise ValidationError(f"out must be a numpy array, got {type(out).__name__}")
+    if out.shape != shape or out.dtype != np.dtype(dtype):
+        raise ValidationError(
+            f"out is {out.dtype} of shape {out.shape}, expected {np.dtype(dtype)} of shape {shape}"
+        )
+    if not (out.flags.c_contiguous and out.flags.writeable):
+        raise ValidationError("out must be C-contiguous and writable")
+    return out.view()
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,8 +418,9 @@ class SignalReader:
     Opening reads and checks the header and checks the payload size against
     it before any sample is read, so a header that claims a huge geometry
     fails fast instead of exhausting memory. read(start, stop) reads
-    channels [start, stop) straight into a fresh array and validates them
-    on their own. Use it as a context manager, or call close().
+    channels [start, stop) straight into a fresh array, or into the
+    caller's out, and validates them on their own. Use it as a context
+    manager, or call close().
     """
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
@@ -416,14 +439,22 @@ class SignalReader:
                 f"payload {self.payload_path} holds {size} bytes, header implies {expected}"
             )
 
-    def read(self, start: int, stop: int) -> SignalMatrix:
-        """Channels [start, stop) of the record, bit exact."""
+    def read(self, start: int, stop: int, out: np.ndarray | None = None) -> SignalMatrix:
+        """Channels [start, stop) of the record, bit exact.
+
+        With out, a writable C-contiguous little-endian float64 array of
+        shape (stop - start, sample_count), the samples are read into out
+        and the result's data is a read-only view of it: it changes when
+        the caller writes to out again, so a caller that reuses out must be
+        done with the block first.
+        """
         info = self.info
         if not 0 <= start < stop <= info.channel_count:
             raise ValidationError(
                 f"channels [{start}, {stop}) are not within the record's {info.channel_count}"
             )
-        data = np.empty((stop - start, info.sample_count), dtype="<f8")
+        shape = (stop - start, info.sample_count)
+        data = np.empty(shape, dtype="<f8") if out is None else _check_out(out, shape, "<f8")
         self._fh.seek(start * info.sample_count * 8)
         read = self._fh.readinto(data)
         if read != data.nbytes:

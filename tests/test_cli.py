@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from streamfilt import (
     store_signal,
     write_report_csv,
 )
-from streamfilt import _threads, signal_core
+from streamfilt import _threads, cli, signal_core
 from streamfilt.cli import main
 
 from conftest import run_fresh
@@ -318,9 +319,9 @@ class TestChannelBlocks:
         seen = []
         real = signal_core.SignalReader.read
 
-        def read(self, start, stop):
+        def read(self, start, stop, out=None):
             seen.append((start, stop))
-            return real(self, start, stop)
+            return real(self, start, stop, out)
 
         monkeypatch.setattr(signal_core.SignalReader, "read", read)
         monkeypatch.delenv("STREAMFILT_THREADS", raising=False)
@@ -407,6 +408,66 @@ class TestChannelBlocks:
         assert (tmp_path / "report.csv").read_text() == (tmp_path / "expected.csv").read_text()
         assert f"defined={5 - len(constant_rows)}/5" in out
 
+    @pytest.fixture
+    def buffers(self, monkeypatch):
+        """Every block read, per payload path, and every block written.
+
+        Each is kept alive, so blocks in fresh arrays would all have their
+        own addresses, while blocks in one kept buffer share its first.
+        """
+        seen = {"written": []}
+        real_read = signal_core.SignalReader.read
+        real_writer = cli.signal_writer
+
+        def read(self, start, stop, out=None):
+            block = real_read(self, start, stop, out)
+            seen.setdefault(self.payload_path, []).append(block.data)
+            return block
+
+        @contextmanager
+        def writer(path, info):
+            with real_writer(path, info) as write:
+                yield lambda rows: (seen["written"].append(rows), write(rows))
+
+        monkeypatch.setattr(signal_core.SignalReader, "read", read)
+        monkeypatch.setattr(cli, "signal_writer", writer)
+        monkeypatch.setattr(signal_core, "_BLOCK_CHANNEL_SAMPLES", 6000)
+        return seen
+
+    @staticmethod
+    def _one_buffer(blocks):
+        """The address of the one (2, 3000) buffer every block lies at the start of."""
+        assert [block.shape[0] for block in blocks] == [2, 2, 1]
+        addresses = {block.__array_interface__["data"][0] for block in blocks}
+        assert len(addresses) == 1
+        assert {block.base.shape for block in blocks} == {(2, 3000)}
+        return addresses.pop()
+
+    @pytest.mark.parametrize("mode", MODE_NAMES)
+    def test_filter_reads_and_writes_every_block_through_one_buffer(
+        self, capsys, tmp_path, buffers, mode
+    ):
+        _store_random(tmp_path / "rec", 5, 3000, seed=12)
+        code, _, err = run_cli(
+            capsys, "filter", "--in", str(tmp_path / "rec"), "--out", str(tmp_path / "o"),
+            "--low", "2", "--high", "30", "--length", "61", "--mode", mode,
+        )
+        assert code == 0, err
+        read = self._one_buffer(buffers[str(tmp_path / "rec.f64")])
+        written = self._one_buffer(buffers["written"])
+        assert read != written
+
+    def test_compare_reads_each_file_through_its_own_buffer(self, capsys, tmp_path, buffers):
+        _store_random(tmp_path / "a", 5, 3000, seed=13)
+        _store_random(tmp_path / "b", 5, 3000, seed=14)
+        code, _, err = run_cli(
+            capsys, "compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"),
+        )
+        assert code == 0, err
+        a = self._one_buffer(buffers[str(tmp_path / "a.f64")])
+        b = self._one_buffer(buffers[str(tmp_path / "b.f64")])
+        assert a != b
+
     def test_compare_all_undefined_raises_once(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(signal_core, "_BLOCK_CHANNEL_SAMPLES", 3000)
         _store_random(tmp_path / "a", 3, 3000, seed=1, constant_rows=(0, 1, 2))
@@ -452,8 +513,9 @@ class TestChannelBlockFailures:
         _store_random(tmp_path / "rec", 3, 1000, seed=4)
         real = signal_core.SignalReader.read
 
-        def read_then_shrink(self, start, stop):
-            block = real(self, start, stop)
+        def read_then_shrink(self, start, stop, out=None):
+            assert out is not None  # the block is read into the run's buffer
+            block = real(self, start, stop, out)
             os.truncate(self.payload_path, 8 * 1000)  # one channel is left
             return block
 

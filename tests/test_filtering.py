@@ -44,6 +44,11 @@ def _identity_kernel(rate=600.614):
     return FirKernel(taps=np.array([1.0]), spec=FilterSpec(2.0, 30.0, rate))
 
 
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
 def _small_kernel(length=31, rate=600.614):
     return design_bandpass(FilterSpec(2.0, 30.0, rate, length_override=length))
 
@@ -647,6 +652,66 @@ class TestApplyMode:
         expected = filter_stateful_stream(sig, kernel, mode.plan).data
         for method in ("auto", "direct"):
             assert np.array_equal(apply_mode(sig, kernel, mode, method=method).data, expected)
+
+
+class TestCallersOutput:
+    """apply_mode(..., out=) writes the output into the caller's buffer."""
+
+    ROUTES = [
+        (mode, method)
+        for mode in MODE_NAMES
+        for method in METHODS
+        if mode != "stateful" or method in ("auto", "direct")
+    ]
+
+    @pytest.mark.parametrize("mode,method", ROUTES)
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_bitwise_equal_to_a_fresh_output(self, mode, method, n_threads):
+        # One buffer serves records of 3 and then 2 channels, as the CLI's
+        # blocks do.
+        kernel = _small_kernel(61)
+        buffer = np.full((3, 900), np.nan)
+        for channels in (3, 2):
+            sig = _random_signal(channels, 900, seed=30 + channels)
+            filter_mode = mode_from_name(mode, sig, 250)
+            expected = apply_mode(sig, kernel, filter_mode, method=method, n_threads=n_threads)
+            out = buffer[:channels]
+            got = apply_mode(
+                sig, kernel, filter_mode, method=method, n_threads=n_threads, out=out
+            )
+            assert got.data.tobytes() == expected.data.tobytes()
+            assert got.info == sig.info
+            assert np.shares_memory(got.data, out)
+            assert not got.data.flags.writeable
+            assert buffer.flags.writeable and out.flags.writeable
+
+    # Each bad out, made from the writable samples the signal is a view of.
+    BAD_OUTS = {
+        "rows": lambda samples: np.empty((3, 900)),
+        "columns": lambda samples: np.empty((2, 899)),
+        "float32": lambda samples: np.empty((2, 900), dtype=np.float32),
+        "strided": lambda samples: np.empty((2, 1800))[:, ::2],
+        "fortran": lambda samples: np.empty((900, 2)).T,
+        "list": lambda samples: np.zeros((2, 900)).tolist(),
+        "read-only": lambda samples: _read_only(np.empty((2, 900))),
+        "the-input": lambda samples: samples[:1800].reshape(2, 900),
+        "overlapping": lambda samples: samples[900:].reshape(2, 900),
+    }
+
+    @pytest.mark.parametrize("bad", BAD_OUTS)
+    @pytest.mark.parametrize("mode", MODE_NAMES)
+    def test_bad_out_rejected(self, bad, mode):
+        # The signal is a read-only view of writable samples, as a block
+        # read into the CLI's buffer is.
+        samples = np.random.default_rng(34).standard_normal(2700)
+        info = _random_signal(2, 900, seed=0).info
+        sig = filtering.SignalMatrix._adopt(info, samples[:1800].reshape(2, 900))
+        assert samples.flags.writeable
+        with pytest.raises(ValidationError, match="out"):
+            apply_mode(
+                sig, _small_kernel(61), mode_from_name(mode, sig, 250),
+                out=self.BAD_OUTS[bad](samples),
+            )
 
 
 class TestLengthPreservation:

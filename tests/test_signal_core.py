@@ -32,6 +32,11 @@ from streamfilt import (
 from streamfilt import signal_core
 
 
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
 def _info(rate=600.0, channels=2, samples=100):
     return SignalInfo.with_default_labels(rate, channels, samples)
 
@@ -340,6 +345,44 @@ class TestBlockReadWrite:
                 assert np.array_equal(block.data, sig.data[start:stop])
                 assert block.info.channel_labels == sig.info.channel_labels[start:stop]
                 assert not block.data.flags.writeable
+
+    def test_read_into_a_buffer_equals_a_fresh_read(self, tmp_path):
+        sig = generate_synthetic(broadband_spec(channel_count=5, sample_count=300, seed=4))
+        store_signal(sig, tmp_path / "rec")
+        buffer = np.empty((2, 300))
+        with signal_core.SignalReader(tmp_path / "rec") as reader:
+            for start, stop in [(0, 2), (2, 4), (4, 5)]:
+                view = buffer[: stop - start]
+                block = reader.read(start, stop, view)
+                assert block.data.tobytes() == reader.read(start, stop).data.tobytes()
+                assert block.info == reader.read(start, stop).info
+                assert np.shares_memory(block.data, view)
+                assert not block.data.flags.writeable
+                assert buffer.flags.writeable and view.flags.writeable
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((2, 301)),
+            np.empty((3, 300)),
+            np.empty((2, 300), dtype=np.float32),
+            np.empty((2, 300), dtype=">f8"),
+            np.empty((2, 600))[:, ::2],
+            np.empty((300, 2)).T,
+            np.zeros((2, 300)).tolist(),
+            _read_only(np.empty((2, 300))),
+        ],
+        ids=[
+            "columns", "rows", "float32", "big-endian", "strided", "fortran", "list",
+            "read-only",
+        ],
+    )
+    def test_read_rejects_a_bad_buffer(self, tmp_path, out):
+        sig = generate_synthetic(broadband_spec(channel_count=3, sample_count=300))
+        store_signal(sig, tmp_path / "rec")
+        with signal_core.SignalReader(tmp_path / "rec") as reader:
+            with pytest.raises(ValidationError, match="out"):
+                reader.read(0, 2, out)
 
     @pytest.mark.parametrize("start,stop", [(-1, 2), (2, 2), (3, 2), (0, 6)])
     def test_read_outside_the_record_rejected(self, tmp_path, start, stop):
