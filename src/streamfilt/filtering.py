@@ -11,10 +11,11 @@ record as if reflect-padded once.
 Per-packet treats every packet as its own tiny record (reflect-pad, filter,
 trim, written into the packet's columns), which reproduces the boundary
 artifacts of naive real-time filtering and is deliberately not equivalent
-to batch. The stateful stream carries the last length - 1 samples between
-packets, seeds that state from the batch left padding and flushes with the
-right padding, so its output matches batch at every sample and is bitwise
-identical for any packetization of the same signal.
+to batch. The stateful stream is direct batch evaluated as packets
+arrive: after each packet it writes the outputs whose window of the
+reflect-padded samples received so far is complete, so its output matches
+batch at every sample and is bitwise identical for any packetization of the
+same signal.
 
 Channels are independent, and np.convolve and numpy.fft release the GIL, so
 every route splits its channels into contiguous blocks and filters them on
@@ -122,7 +123,7 @@ class PerPacket(FilterMode):
 
 @dataclass(frozen=True)
 class StatefulStream(FilterMode):
-    """Filter packets with carried state, equivalent to batch."""
+    """Filter packets as they arrive, keeping the past: equivalent to batch."""
 
     name: ClassVar[str] = "stateful"
     plan: PacketPlan
@@ -258,46 +259,33 @@ def filter_stateful_stream(
     n_threads: int | None = None,
     out: np.ndarray | None = None,
 ) -> SignalMatrix:
-    """Filter packets while carrying the last length - 1 samples of state.
+    """Filter packets as they arrive, each output from the samples received so far.
 
-    The state is seeded with the record's left reflection and flushed with
-    the right reflection, so every output window sees exactly the samples it
-    would see in filter_batch. Uses the direct engine only: its per-window
-    dot products do not depend on packet boundaries, which makes the output
+    After the packet that ends at stop, outputs [done, stop - delay) have
+    every input they need, and each is one window of data[:, :stop]
+    reflect-padded: no sample after stop is read. The last packet brings
+    the right reflection and finishes the record. So every output sees
+    exactly the samples it would see in filter_batch; an interior window is
+    a view of the record. Uses the direct engine only: its per-window dot
+    products do not depend on packet boundaries, which makes the output
     bitwise identical across packetizations (not merely close). n_threads
-    and out are as in filter_batch; each block carries its own rows of the
-    state.
+    and out are as in filter_batch.
     """
     _check_compatible(signal, kernel)
     _check_plan(signal, plan)
     width = signal.info.sample_count
     delay = kernel.group_delay_samples
-    length = kernel.length
 
     def fill(data: np.ndarray, out: np.ndarray) -> None:
-        state = reflect_pad_columns(data, delay, 0, delay)
-        flush = reflect_pad_columns(data, delay, delay + width, 2 * delay + width)
         done = 0
-        for chunk in _stream_chunks(data, plan, flush):
-            ext = np.concatenate([state, chunk], axis=1)
-            ready = ext.shape[1] - (length - 1)
-            if ready > 0:
-                convolve_reflected(ext, kernel.taps, 0, out[:, done : done + ready], "direct")
-                done += ready
-                state = ext[:, ready:]
-            else:
-                state = ext
+        for _, stop in plan.slices():
+            ready = width if stop == width else stop - delay
+            if ready > done:
+                window = reflect_pad_columns(data[:, :stop], delay, done, ready + 2 * delay)
+                convolve_reflected(window, kernel.taps, 0, out[:, done:ready], "direct")
+                done = ready
 
     return _filter_channel_blocks(signal, n_threads, fill, out)
-
-
-def _stream_chunks(
-    data: np.ndarray, plan: PacketPlan, flush: np.ndarray
-) -> Iterator[np.ndarray]:
-    for start, stop in plan.slices():
-        yield data[:, start:stop]
-    if flush.shape[1]:
-        yield flush
 
 
 def apply_mode(

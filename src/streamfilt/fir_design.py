@@ -21,6 +21,12 @@ from ._fsio import atomic_write_csv
 # Bytes of complex basis frequency_response builds per block of frequencies.
 _RESPONSE_BLOCK_BYTES = 1 << 22
 
+# Longest kernel design_bandpass builds: 32 MiB of taps. A narrower
+# transition band asks for more than memory holds (a 1e-9 Hz edge at 600 Hz
+# asks for 1.98e12 taps, 14.4 TiB), so it fails as a ValidationError before
+# any allocation.
+_MAX_TAPS = 2**22
+
 # Bytes of kernel spectra one FirKernel keeps. Live packets of 32-1024
 # samples through the 991-tap kernel use about 24 transform lengths, 0.4 MB.
 _SPECTRUM_CACHE_BYTES = 1 << 24
@@ -166,8 +172,13 @@ def design_bandpass(spec: FilterSpec) -> FirKernel:
     """Design the band-pass kernel for a FilterSpec.
 
     Uses spec.length_override when present, otherwise auto_length(spec).
+    A length above _MAX_TAPS raises ValidationError.
     """
     length = spec.length_override if spec.length_override is not None else auto_length(spec)
+    if length > _MAX_TAPS:
+        raise ValidationError(
+            f"a kernel of {length} taps is longer than the {_MAX_TAPS} this package builds"
+        )
     high_lp = _windowed_sinc_lowpass(spec.high_cut_hz, spec.sampling_rate_hz, length)
     low_lp = _windowed_sinc_lowpass(spec.low_cut_hz, spec.sampling_rate_hz, length)
     return FirKernel(taps=high_lp - low_lp, spec=spec)
@@ -178,7 +189,8 @@ def frequency_response(kernel: FirKernel, freqs_hz) -> np.ndarray:
 
     Evaluated by direct summation at the requested frequencies, which must
     lie in [0, Nyquist], a block of frequencies at a time so that memory
-    stays bounded for any kernel length.
+    stays bounded for any kernel length. The sum is np.einsum, not a BLAS
+    product, so no BLAS thread is left spinning after the call returns.
     """
     freqs = np.atleast_1d(np.asarray(freqs_hz, dtype=np.float64))
     if freqs.ndim != 1:
@@ -194,7 +206,7 @@ def frequency_response(kernel: FirKernel, freqs_hz) -> np.ndarray:
     rows = max(1, _RESPONSE_BLOCK_BYTES // (16 * kernel.length))
     for start in range(0, freqs.size, rows):
         basis = np.exp(scale * np.outer(freqs[start : start + rows], k))
-        response[start : start + rows] = basis @ kernel.taps
+        response[start : start + rows] = np.einsum("ij,j->i", basis, kernel.taps)
     return response
 
 

@@ -180,9 +180,6 @@ class SignalMatrix:
         object.__setattr__(signal, "data", _validated(info, data))
         return signal
 
-    def channel(self, index: int) -> np.ndarray:
-        return self.data[index]
-
 
 @dataclass(frozen=True)
 class SineComponent:

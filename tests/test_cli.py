@@ -134,6 +134,19 @@ class TestDesign:
         assert code == 1
         assert "error:" in err
 
+    def test_design_too_long_to_allocate_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "t.csv"
+        code, _, err = run_cli(
+            capsys,
+            "design", "--low", "1e-9", "--high", "30", "--rate", "600", "--out", str(path),
+        )
+        assert code == 1
+        # The 1.98e12 taps would be 14.4 TiB; the config echo comes first.
+        assert err.splitlines()[1:] == [
+            "error: a kernel of 1980000000001 taps is longer than the 4194304 this package builds"
+        ]
+        assert not path.exists()
+
 
 class TestFilter:
     def test_batch_matches_library(self, capsys, tmp_path):

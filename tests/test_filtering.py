@@ -6,6 +6,7 @@ import time
 import tracemalloc
 import warnings
 from signal import SIGKILL
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -317,6 +318,46 @@ class TestFilterStatefulStream:
         kernel = _small_kernel(length)
         out = filter_stateful_stream(sig, kernel, packetize(sig, packet))
         assert np.array_equal(out.data, filter_batch(sig, kernel, method="direct").data)
+
+    # The same ranges, on a record whose samples arrive with the packets:
+    # each packet is written into the record when the stream asks for it,
+    # and until then its samples are NaN, which a read would carry into the
+    # output. So no output may depend on a sample after the packet that
+    # made it ready: after the packet that ends at stop, outputs
+    # [0, stop - delay) must already be those of the whole record.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        channels=st.integers(1, 3),
+        samples=st.integers(1, 3000),
+        length=st.integers(1, 100).map(lambda half: 2 * half + 1),
+        packet=st.one_of(st.just(1), st.integers(1, 3100)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(channels=2, samples=50, length=201, packet=7, seed=0)
+    @example(channels=1, samples=3000, length=201, packet=400, seed=1)
+    @example(channels=3, samples=3000, length=3, packet=1, seed=2)
+    def test_outputs_do_not_depend_on_later_samples(
+        self, channels, samples, length, packet, seed
+    ):
+        sig = _random_signal(channels, samples, seed)
+        kernel = _small_kernel(length)
+        plan = packetize(sig, packet)
+        expected = filter_stateful_stream(sig, kernel, plan).data
+        live = make_signal(np.zeros((channels, samples)))
+        live.data.setflags(write=True)
+        live.data[...] = np.nan
+        out = np.full((channels, samples), np.nan)
+
+        def arrive():
+            for start, stop in plan.slices():
+                live.data[:, start:stop] = sig.data[:, start:stop]
+                yield start, stop
+                ready = max(stop - kernel.group_delay_samples, 0)
+                assert np.array_equal(out[:, :ready], expected[:, :ready])
+
+        arriving = SimpleNamespace(total_samples=plan.total_samples, slices=arrive)
+        filter_stateful_stream(live, kernel, arriving, n_threads=1, out=out)
+        assert np.array_equal(out, expected)
 
 
 class TestPreallocatedOutput:

@@ -19,6 +19,8 @@ from streamfilt import (
     transition_bandwidths,
 )
 
+from conftest import run_fresh
+
 
 class TestFilterSpec:
     def test_low_must_be_below_high(self):
@@ -112,6 +114,24 @@ class TestDesignBandpass:
     def test_dc_gain_vanishes(self, standard_kernel):
         assert abs(standard_kernel.taps.sum()) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # The automatic length of a 1e-9 Hz edge is 1.98e12 taps, 14.4 TiB.
+            FilterSpec(1e-9, 30.0, 600.0),
+            FilterSpec(2.0, 30.0, 600.614, length_override=fir_design._MAX_TAPS + 1),
+        ],
+    )
+    def test_longer_kernel_rejected_before_allocating(self, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="taps is longer than"):
+                design_bandpass(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
 
 class TestFirKernel:
     def test_rejects_even_length(self):
@@ -172,13 +192,16 @@ class TestFrequencyResponse:
 
     @pytest.mark.parametrize("length", [3, 991])
     def test_blocks_match_one_shot_direct_sum(self, length):
-        # 1000 frequencies fill one block at 3 taps and four at 991.
+        # 1000 frequencies fill one block at 3 taps and four at 991. The
+        # one-shot sum takes the same einsum: near the stopband's zeros a
+        # different summation order (a BLAS product) differs by more than
+        # rtol, so this checks the blocking, and test_matches_freqz the
+        # accuracy.
         kernel = design_bandpass(FilterSpec(2.0, 30.0, 600.614, length_override=length))
         freqs = np.linspace(0.0, kernel.spec.nyquist_hz, 1000)
         k = np.arange(kernel.length, dtype=np.float64)
-        direct = np.exp(
-            (-2j * np.pi / kernel.spec.sampling_rate_hz) * np.outer(freqs, k)
-        ) @ kernel.taps
+        basis = np.exp((-2j * np.pi / kernel.spec.sampling_rate_hz) * np.outer(freqs, k))
+        direct = np.einsum("ij,j->i", basis, kernel.taps)
         np.testing.assert_allclose(frequency_response(kernel, freqs), direct, rtol=1e-12)
 
     def test_long_kernel_memory_is_bounded(self):
@@ -193,6 +216,26 @@ class TestFrequencyResponse:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
+
+    def test_no_thread_spins_after_a_response(self):
+        # A BLAS product of the basis and the taps ran on the library's own
+        # threads, which kept spinning for a while after the call returned.
+        # A fresh interpreter, so that nothing but the response has run.
+        script = (
+            "import resource, time\n"
+            "import numpy as np\n"
+            "from streamfilt import FilterSpec, design_bandpass, frequency_response\n"
+            "kernel = design_bandpass(FilterSpec(2.0, 30.0, 600.614))\n"
+            "frequency_response(kernel, np.linspace(0.0, kernel.spec.nyquist_hz, 2000))\n"
+            "usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+            "before = usage.ru_utime + usage.ru_stime\n"
+            "time.sleep(0.3)\n"
+            "usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+            "print(usage.ru_utime + usage.ru_stime - before)\n"
+        )
+        result = run_fresh(script)
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) < 0.03
 
 
 class TestExportTaps:
