@@ -8,10 +8,10 @@ per process, built on first use and kept, so a live packet pays a hand-off
 to a waiting worker rather than a pool's start-up, and no library's own
 thread pool is left spinning after a call. n_threads=None takes
 STREAMFILT_THREADS when it is set (1 models a single-core Edge box), else
-the CPUs this process may run on, capped by the channel count; a call with
-less work than _MIN_THREADED_WORK stays on the caller's thread, and a short
-call (a live packet) gets at most one thread per _MIN_CHANNELS_PER_THREAD
-channels.
+the CPUs this process may run on when the call has at least
+_MIN_THREADED_WORK channel-samples of work, and the caller's thread below
+it; either way capped by the channel count. Callers pass their shape and
+leave the decision here.
 """
 
 from __future__ import annotations
@@ -25,26 +25,16 @@ from .errors import ValidationError
 
 THREADS_ENV_VAR = "STREAMFILT_THREADS"
 
-# Channel-samples below which n_threads=None stays on the caller's thread:
-# 59-channel packets of up to 69 samples. With the process's pool an empty
-# hand-off costs 17-26 us at the median. On 2 CPUs with the 991-tap kernel,
-# a 2-thread split of 59-channel packets of 32-1024 samples took 10-20
-# percent off each call in a fresh process, and 13-14 percent off the
-# median of the benchmark's live packets.
-_MIN_THREADED_WORK = 4096
-
-# Channels each thread must get before n_threads=None splits a call of at
-# most _SHORT_CALL_SAMPLES samples a channel. On 2 CPUs with the 991-tap
-# kernel (median of 150 interleaved calls each way), a 2-thread split of 4,
-# 8 and 16 channels x 256-1024 samples took 1.07-1.98 times as long as one
-# thread. 20-28 channels lost at 256 samples (20 also at 512), 32 channels
-# took 0.89-0.97 of the one-thread time from 512 samples, and 59 channels
-# 0.85-0.91 at every size. So a live packet of an 8-16 channel headset
-# filters on the caller's thread, and one of the 59-channel record splits.
-# Longer calls were not timed this way and keep every CPU: a batch filter of
-# 8-16 channels x 166,800 samples took 0.55-0.62 of the one-thread time.
-_MIN_CHANNELS_PER_THREAD = 16
-_SHORT_CALL_SAMPLES = 1024
+# Work, in channel-samples, below which n_threads=None stays on the caller's
+# thread. A filtering route counts its padded shape, channels x (samples +
+# taps - 1), and the Pearson kernel its raw shape. On 2 CPUs with the
+# 991-tap kernel, in a warm heap, a split call below about 60,300 padded
+# channel-samples took 0.99-2.03 times as long as on one thread, one from
+# 62,481 up 0.70-0.98 times, and 59-channel packets of 44-64 samples
+# between them swung either way from run to run. 62,540 is 59 x (70 + 990):
+# a live packet of the 59-channel record splits from 70 samples. The README
+# has the table.
+_MIN_THREADED_WORK = 62_540
 
 
 def _available_cpus() -> int:
@@ -55,17 +45,13 @@ def _available_cpus() -> int:
 
 
 def resolve_threads(n_threads: int | None, shape: tuple[int, int]) -> int:
-    """Threads a call on a (channels, samples) record runs on.
+    """Threads a call of shape (channels, work per channel) runs on.
 
     An explicit n_threads, else STREAMFILT_THREADS, else the available CPUs
-    at or above _MIN_THREADED_WORK channel-samples and 1 below it, with at
-    least _MIN_CHANNELS_PER_THREAD channels a thread for a call of at most
-    _SHORT_CALL_SAMPLES samples; capped by the channel count. A caller that
-    reads a record by channel blocks resolves the count once for the whole
-    record and passes it to each block, so a small block is not left single
-    threaded.
+    when channels x work reaches _MIN_THREADED_WORK and 1 below it; capped
+    by the channel count.
     """
-    channels, samples = shape
+    channels, work = shape
     if n_threads is None:
         raw = os.environ.get(THREADS_ENV_VAR)
         if raw is not None:
@@ -75,12 +61,10 @@ def resolve_threads(n_threads: int | None, shape: tuple[int, int]) -> int:
                 raise ValidationError(
                     f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
                 ) from None
-        elif channels * samples < _MIN_THREADED_WORK:
+        elif channels * work < _MIN_THREADED_WORK:
             return 1
         else:
             n_threads = _available_cpus()
-            if samples <= _SHORT_CALL_SAMPLES:
-                n_threads = max(1, min(n_threads, channels // _MIN_CHANNELS_PER_THREAD))
     if n_threads < 1:
         raise ValidationError(f"thread count must be >= 1, got {n_threads}")
     return min(n_threads, channels)
@@ -123,8 +107,8 @@ if hasattr(os, "register_at_fork"):
 def run_channel_blocks(
     shape: tuple[int, int], n_threads: int | None, work: Callable[[slice], None]
 ) -> None:
-    """Run work(rows) on contiguous channel blocks of a (channels, samples)
-    record, one block per thread resolved from n_threads and shape.
+    """Run work(rows) on contiguous blocks of shape's channels, one block
+    per thread resolved from n_threads and shape (as in resolve_threads).
 
     The caller's thread runs the first block itself and the process's pool
     the others, so the pool needs one worker fewer than the thread count. A

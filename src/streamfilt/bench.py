@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import gc
 import math
-import operator
 import time
 import zlib
 from dataclasses import dataclass, replace
@@ -32,7 +31,7 @@ from .filtering import (
     mode_from_name,
 )
 from .fir_design import FilterSpec, design_bandpass
-from .signal_core import SignalMatrix, replicate_signal
+from .signal_core import SignalMatrix, _as_int, replicate_signal
 
 
 # The standard normal's upper 97.5 percent point, written out so that the
@@ -83,10 +82,7 @@ def student_t_975(df: int) -> float:
     with 40-digit mpmath to about 3e-14 relative. df must be an integer
     >= 1; a bool, float or str raises ValidationError.
     """
-    try:
-        n = None if isinstance(df, bool) else operator.index(df)
-    except TypeError:
-        n = None
+    n = _as_int(df)
     if n is None or n < 1:
         raise ValidationError(f"degrees of freedom must be an integer >= 1, got {df!r}")
     t = _cornish_fisher_975(n)
@@ -221,12 +217,14 @@ class SweepConfig:
     warmup: int = 3
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.packet_sizes)
-        object.__setattr__(self, "packet_sizes", sizes)
+        sizes = tuple(_as_int(s) for s in self.packet_sizes)
         if not sizes:
             raise ValidationError("packet_sizes must not be empty")
-        if any(s < 1 for s in sizes):
-            raise ValidationError(f"packet sizes must be >= 1, got {sizes}")
+        if any(s is None or s < 1 for s in sizes):
+            raise ValidationError(
+                f"packet sizes must be integers >= 1, got {tuple(self.packet_sizes)!r}"
+            )
+        object.__setattr__(self, "packet_sizes", sizes)
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValidationError(f"packet sizes must be strictly increasing, got {sizes}")
         if self.mode not in (PerPacket.name, StatefulStream.name):

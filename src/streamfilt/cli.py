@@ -13,10 +13,8 @@ block of output (for compare, one block of each input). Each of those is
 one buffer kept for the whole run, the size of the first and largest
 block: every block is read into, filtered into and written from the same
 pages. Every header and payload size is checked before the first block is
-read, and a failure in any block leaves no output file. filter and compare
-resolve their thread count once for the whole record and run every block
-on it. A .csv input is parsed whole, as one block. sweep and bench load
-the whole record.
+read, and a failure in any block leaves no output file. A .csv input is
+parsed whole, as one block. sweep and bench load the whole record.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from ._fsio import CSV_VERSION_LINE
-from ._threads import THREADS_ENV_VAR, resolve_threads
+from ._threads import THREADS_ENV_VAR
 from .errors import (
     CliUsageError,
     SignalFileError,
@@ -217,7 +215,6 @@ def _cmd_design(args: argparse.Namespace) -> int:
 def _cmd_filter(args: argparse.Namespace) -> int:
     with _open_input(args.input, args.rate) as (info, read, blocks):
         kernel = design_bandpass(_filter_spec(args, info.sampling_rate_hz))
-        threads = resolve_threads(None, (info.channel_count, info.sample_count))
         block_in, block_out = _block_buffer(info, blocks), _block_buffer(info, blocks)
         with signal_writer(args.out, info) as write:
             for start, stop in blocks:
@@ -225,8 +222,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
                 block = read(start, stop, block_in[:rows])
                 mode = mode_from_name(args.mode, block, args.packet_size)
                 filtered = apply_mode(
-                    block, kernel, mode, method=args.method, n_threads=threads,
-                    out=block_out[:rows],
+                    block, kernel, mode, method=args.method, out=block_out[:rows]
                 )
                 write(filtered.data)
     print(
@@ -243,14 +239,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     ) as (info_b, read_b, blocks_b):
         if info != info_b:
             raise ValidationError("signals differ in geometry or labeling, cannot compare")
-        threads = resolve_threads(None, (info.channel_count, info.sample_count))
         blocks = min(blocks_a, blocks_b, key=len)
         block_a, block_b = _block_buffer(info, blocks), _block_buffer(info, blocks)
         parts = [
             correlate_rows(
                 read_a(start, stop, block_a[: stop - start]).data,
                 read_b(start, stop, block_b[: stop - start]).data,
-                n_threads=threads,
             )
             for start, stop in blocks
         ]

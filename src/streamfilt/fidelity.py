@@ -126,9 +126,9 @@ def correlate_rows(
     A row is undefined where either side is constant or has zero variance
     after centering; a non-finite sample raises ValidationError. The rows
     run in channel blocks on n_threads threads, resolved as for the
-    filtering routes. A caller that reads a record in channel blocks runs
-    this per block, with the thread count resolved once for the record, and
-    passes the joined results to channel_report.
+    filtering routes but on the unpadded shape. A caller that reads a record
+    in channel blocks runs this per block and passes the joined results to
+    channel_report.
     """
     # C order, so each row's mean is that of the row alone (numpy reduces a
     # C-ordered row as it reduces a 1-D vector); other layouts are copied.

@@ -35,7 +35,7 @@ from ._threads import run_channel_blocks
 from .convolution import METHODS, ReflectedConvolver, convolve_reflected, reflect_pad_columns
 from .errors import ValidationError
 from .fir_design import FirKernel
-from .signal_core import SignalMatrix, _check_out
+from .signal_core import SignalMatrix, _as_int, _check_out
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,11 @@ class PacketPlan:
     tail_size_samples: int
 
     def __post_init__(self) -> None:
+        for name in ("packet_size_samples", "packet_count", "tail_size_samples"):
+            value = _as_int(getattr(self, name))
+            if value is None:
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if self.packet_size_samples < 1:
             raise ValidationError(
                 f"packet_size_samples must be >= 1, got {self.packet_size_samples}"
@@ -79,15 +84,14 @@ def packetize(signal: SignalMatrix, packet_size: int) -> PacketPlan:
 
     A packet size larger than the record clamps to one whole-record packet.
     """
-    if packet_size < 1:
-        raise ValidationError(f"packet_size must be >= 1, got {packet_size}")
+    size = _as_int(packet_size)
+    if size is None or size < 1:
+        raise ValidationError(f"packet_size must be an integer >= 1, got {packet_size!r}")
     total = signal.info.sample_count
-    if packet_size >= total:
+    if size >= total:
         return PacketPlan(packet_size_samples=total, packet_count=1, tail_size_samples=0)
     return PacketPlan(
-        packet_size_samples=packet_size,
-        packet_count=total // packet_size,
-        tail_size_samples=total % packet_size,
+        packet_size_samples=size, packet_count=total // size, tail_size_samples=total % size
     )
 
 
@@ -165,12 +169,15 @@ def _check_plan(signal: SignalMatrix, plan: PacketPlan) -> None:
 
 def _filter_channel_blocks(
     signal: SignalMatrix,
+    kernel: FirKernel,
     n_threads: int | None,
     fill: Callable[[np.ndarray, np.ndarray], None],
     out: np.ndarray | None = None,
 ) -> SignalMatrix:
     """Run fill(data_rows, out_rows) on contiguous channel blocks of the
-    output, one block per thread, and return it.
+    output, one block per thread, and return it. Every route resolves its
+    thread count on the record's padded shape, channels x (samples + taps
+    - 1).
 
     The output is allocated once, or is out: a writable C-contiguous
     float64 array of the signal's shape that shares no memory with it,
@@ -184,7 +191,9 @@ def _filter_channel_blocks(
         out = _check_out(out, data.shape, "float64")
         if np.shares_memory(out, data):
             raise ValidationError("out shares memory with the signal it filters")
-    run_channel_blocks(data.shape, n_threads, lambda rows: fill(data[rows], out[rows]))
+    channels, samples = data.shape
+    padded = (channels, samples + kernel.length - 1)
+    run_channel_blocks(padded, n_threads, lambda rows: fill(data[rows], out[rows]))
     return SignalMatrix._adopt(signal.info, out)
 
 
@@ -201,7 +210,7 @@ def filter_batch(
     n_threads splits the channels into that many blocks (capped by the
     channel count); the output is bitwise the same for any thread count.
     None means STREAMFILT_THREADS when it is set, else one thread per
-    available CPU when the call has enough work and channels
+    available CPU when the padded record has enough channel-samples
     (_threads.resolve_threads), and the caller's thread otherwise. out, if
     given, receives the output, as in _filter_channel_blocks.
     """
@@ -211,7 +220,7 @@ def filter_batch(
     def fill(data: np.ndarray, out: np.ndarray) -> None:
         convolve_reflected(data, kernel.taps, delay, out, method, kernel.spectrum)
 
-    return _filter_channel_blocks(signal, n_threads, fill, out)
+    return _filter_channel_blocks(signal, kernel, n_threads, fill, out)
 
 
 def filter_per_packet(
@@ -248,7 +257,7 @@ def filter_per_packet(
                 )
             convolvers[size](data[:, start:stop], out[:, start:stop])
 
-    return _filter_channel_blocks(signal, n_threads, fill, out)
+    return _filter_channel_blocks(signal, kernel, n_threads, fill, out)
 
 
 def filter_stateful_stream(
@@ -285,7 +294,7 @@ def filter_stateful_stream(
                 convolve_reflected(window, kernel.taps, 0, out[:, done:ready], "direct")
                 done = ready
 
-    return _filter_channel_blocks(signal, n_threads, fill, out)
+    return _filter_channel_blocks(signal, kernel, n_threads, fill, out)
 
 
 def apply_mode(

@@ -204,6 +204,17 @@ class SineComponent:
                 raise ValidationError(f"component {name} must be finite")
 
 
+def _as_int(value) -> int | None:
+    """value as an int when it is an integer (numpy's included), else None:
+    a bool, float or str is not."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a deterministic synthetic multichannel signal."""
@@ -217,10 +228,7 @@ class SyntheticSpec:
         object.__setattr__(self, "components", tuple(self.components))
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        try:
-            seed = None if isinstance(self.seed, bool) else operator.index(self.seed)
-        except TypeError:
-            seed = None
+        seed = _as_int(self.seed)
         if seed is None or not 0 <= seed < 2**64:
             raise ValidationError(
                 f"seed must be an integer that fits in an unsigned 64-bit value, got {self.seed!r}"
@@ -249,14 +257,25 @@ def generate_synthetic(spec: SyntheticSpec) -> SignalMatrix:
     info = spec.info
     shape = (info.channel_count, info.sample_count)
     if spec.noise_sigma > 0:
-        data = np.empty(shape, dtype=np.float64)
+        data = _new_record(shape)
         np.random.Generator(np.random.PCG64(spec.seed)).standard_normal(out=data)
         data *= spec.noise_sigma
     else:
-        data = np.zeros(shape, dtype=np.float64)
+        data = _new_record(shape, np.zeros)
     if spec.components:
         _add_components(data, spec.components, info.sampling_rate_hz)
     return SignalMatrix._adopt(info, data)
+
+
+def _new_record(shape: tuple[int, int], make=np.empty) -> np.ndarray:
+    """make(shape) as float64, or ValidationError naming the shape when it
+    is too large to allocate."""
+    try:
+        return make(shape, dtype=np.float64)
+    except (MemoryError, ValueError):  # ValueError: larger than numpy can address
+        raise ValidationError(
+            f"a record of {shape[0]} channels x {shape[1]} samples is too large to allocate"
+        ) from None
 
 
 def _add_components(
@@ -333,7 +352,9 @@ def replicate_signal(signal: SignalMatrix, factor: int) -> SignalMatrix:
         sample_count=signal.info.sample_count * factor,
         channel_labels=signal.info.channel_labels,
     )
-    return SignalMatrix._adopt(info, np.tile(signal.data, (1, factor)))
+    data = _new_record((info.channel_count, info.sample_count))
+    data.reshape(info.channel_count, factor, -1)[...] = signal.data[:, np.newaxis]
+    return SignalMatrix._adopt(info, data)
 
 
 def _base_path(path: str | os.PathLike[str]) -> str:

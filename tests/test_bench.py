@@ -189,6 +189,16 @@ class TestSweepConfig:
         with pytest.raises(ValidationError):
             SweepConfig(filter_spec=self._spec(), packet_sizes=())
 
+    @pytest.mark.parametrize("size", [200.9, 200.0, True, "200"], ids=repr)
+    def test_sizes_must_be_integers(self, size):
+        with pytest.raises(ValidationError, match="packet sizes must be integers"):
+            SweepConfig(filter_spec=self._spec(), packet_sizes=(100, size))
+
+    def test_numpy_integer_sizes_become_ints(self):
+        config = SweepConfig(filter_spec=self._spec(), packet_sizes=np.array([100, 200]))
+        assert config.packet_sizes == (100, 200)
+        assert all(type(s) is int for s in config.packet_sizes)
+
     def test_mode_checked(self):
         with pytest.raises(ValidationError):
             SweepConfig(filter_spec=self._spec(), packet_sizes=(100,), mode="sideways")

@@ -103,6 +103,23 @@ class TestGen:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("samples", [10**17, 10**19, 10**20], ids=["memory", "size", "dim"])
+    @pytest.mark.parametrize("noise", ["0.7", "0"])
+    def test_a_record_too_large_to_allocate_exits_1(self, capsys, tmp_path, samples, noise):
+        # Petabytes at least: numpy refuses them before touching any page.
+        code, out, err = run_cli(
+            capsys, "gen", "--out", str(tmp_path / "big"), "--channels", "2",
+            "--samples", str(samples), "--noise-sigma", noise,
+        )
+        assert code == 1
+        assert out == ""
+        echo, message = err.splitlines()
+        assert json.loads(echo)["command"] == "gen"
+        assert message == (
+            f"error: a record of 2 channels x {samples} samples is too large to allocate"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_component_above_nyquist_exit_1(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -343,15 +360,14 @@ class TestChannelBlocks:
     BLOCKS = {3000: [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], 6000: [(0, 2), (2, 4), (4, 5)]}
 
     @pytest.mark.parametrize("mode", MODE_NAMES)
-    def test_every_block_of_a_threaded_record_builds_a_pool(
+    def test_each_block_resolves_its_own_threads(
         self, capsys, tmp_path, monkeypatch, pools, mode
     ):
-        # 5 x 3000 splits into blocks of 3 and 2 channels. The record is
-        # above the patched threading floor and the 2-channel block alone
-        # is not; it still runs on the record's 2 threads. Both blocks hand
-        # their second half to the one pool, which the first block builds.
+        # 5 x 3000 splits into blocks of 3 and 2 channels, 3 x 3060 and
+        # 2 x 3060 padded with 61 taps. Only the first reaches the patched
+        # floor, so it alone hands a block to the pool.
         monkeypatch.setattr(signal_core, "_BLOCK_CHANNEL_SAMPLES", 9000)
-        monkeypatch.setattr(_threads, "_MIN_THREADED_WORK", 10000)
+        monkeypatch.setattr(_threads, "_MIN_THREADED_WORK", 9000)
         _store_random(tmp_path / "rec", 5, 3000, seed=9)
         code, _, err = run_cli(
             capsys, "filter", "--in", str(tmp_path / "rec"), "--out", str(tmp_path / "o"),
@@ -359,7 +375,7 @@ class TestChannelBlocks:
         )
         assert code == 0, err
         assert pools.built == [1]
-        assert pools.submitted == 2
+        assert pools.submitted == 1
 
     @pytest.mark.parametrize("limit", [3000, 6000], ids=["1-row", "uneven"])
     # The stateful stream runs on the direct engine only.

@@ -75,6 +75,19 @@ class TestPacketPlan:
         with pytest.raises(ValidationError):
             PacketPlan(packet_size_samples=size, packet_count=count, tail_size_samples=0)
 
+    @pytest.mark.parametrize("field", ["packet_size_samples", "packet_count", "tail_size_samples"])
+    @pytest.mark.parametrize("value", [400.5, 2.0, True, "3"], ids=repr)
+    def test_fields_must_be_integers(self, field, value):
+        fields = dict(packet_size_samples=400, packet_count=3, tail_size_samples=1)
+        fields[field] = value
+        with pytest.raises(ValidationError, match=field):
+            PacketPlan(**fields)
+
+    def test_numpy_integers_become_ints(self):
+        plan = PacketPlan(np.int64(400), np.int32(3), np.uint8(150))
+        assert plan == PacketPlan(400, 3, 150)
+        assert all(type(v) is int for v in vars(plan).values())
+
 
 class TestPacketize:
     @pytest.mark.parametrize(
@@ -102,6 +115,16 @@ class TestPacketize:
     def test_bad_size(self):
         with pytest.raises(ValidationError):
             packetize(make_signal(np.zeros((1, 10))), 0)
+
+    @pytest.mark.parametrize("size", [400.5, 400.0, True, "400", None], ids=repr)
+    def test_non_integer_size_raises(self, size):
+        with pytest.raises(ValidationError, match="packet_size must be an integer"):
+            packetize(make_signal(np.zeros((1, 1000))), size)
+
+    def test_numpy_integer_size(self):
+        plan = packetize(make_signal(np.zeros((1, 1000))), np.int64(400))
+        assert plan == PacketPlan(400, 2, 200)
+        assert type(plan.packet_size_samples) is int
 
 
 class TestIdentityKernel:
@@ -469,38 +492,54 @@ class TestThreads:
         assert len(pools.lookups) == 9
 
     def test_below_the_floor_stays_on_the_callers_thread(self, pools):
-        sig = _random_signal(4, _threads._MIN_THREADED_WORK // 4 - 1, seed=31)
+        # One sample short of the floor on the padded shape, 4 x (n + 30).
+        sig = _random_signal(4, _threads._MIN_THREADED_WORK // 4 - 30 - 1, seed=31)
         for run in self._routes(sig, _small_kernel(31), 400).values():
             run()
         assert pools.built == []
         assert pools.submitted == 0
 
     def test_a_headset_of_eight_channels_stays_on_the_callers_thread(self, pools):
-        # 8 x 512 is above the work floor, but 4 channels a thread split
-        # took 1.5-2 times as long as one thread.
+        # 8 x 512 is 8 x 542 padded, far below the floor.
         sig = _random_signal(8, 512, seed=34)
         for run in self._routes(sig, _small_kernel(31), 400).values():
             run()
         assert pools.built == []
         assert pools.submitted == 0
 
-    def test_the_shortest_split_packet_of_the_record_splits(self, pools):
-        sig = _random_signal(59, 70, seed=35)
-        for run in self._routes(sig, _small_kernel(31), 400).values():
-            run()
+    @pytest.mark.parametrize("shape", [(2, 3000), (8, 2048), (32, 256)], ids=str)
+    def test_small_calls_with_the_standard_kernel_stay_on_one_thread(
+        self, pools, standard_kernel, shape
+    ):
+        # Split on 2 CPUs, these took 1.2-2 times as long as on one thread.
+        filter_batch(_random_signal(*shape, seed=36), standard_kernel)
+        assert pools.built == []
+        assert pools.submitted == 0
+
+    def test_the_shortest_split_packet_of_the_record_splits(self, pools, standard_kernel):
+        # 59 x (69 + 990) is below the floor and 59 x (70 + 990) at it.
+        for samples in (69, 70):
+            sig = _random_signal(59, samples, seed=35)
+            for run in self._routes(sig, standard_kernel, 400).values():
+                run()
         assert pools.built == [1]
         assert pools.submitted == 3
 
-    def test_only_short_calls_are_held_to_the_channels_floor(self, pools, monkeypatch):
-        # The floor was timed on packets of up to _SHORT_CALL_SAMPLES; a
-        # longer call of a small headset keeps every CPU.
-        monkeypatch.setattr(_threads.os, "sched_getaffinity", lambda pid: set(range(4)))
-        short = _threads._SHORT_CALL_SAMPLES
-        assert _threads.resolve_threads(None, (8, short)) == 1
-        assert _threads.resolve_threads(None, (8, short + 1)) == 4
-        assert _threads.resolve_threads(None, (16, 166_800)) == 4
-        assert _threads.resolve_threads(None, (59, 400)) == 3
-        assert _threads.resolve_threads(None, (59, 166_800)) == 4
+    def test_every_packet_of_the_record_splits_from_70_samples(self, pools):
+        for n in range(1, 1025):
+            assert _threads.resolve_threads(None, (59, n + 990)) == (1 if n < 70 else 2)
+
+    @pytest.mark.parametrize(
+        "channels,work,threads",
+        [
+            (40, 512 + 990, 1),  # 40 channels x 512 samples, with 991 taps
+            (20, 166_800 + 990, 2),  # a channel block of the default record
+            (59, 166_800, 2),  # the default record, as the Pearson kernel counts it
+            (1, 10**9, 1),  # capped by the channel count
+        ],
+    )
+    def test_one_floor_on_the_work_decides(self, pools, channels, work, threads):
+        assert _threads.resolve_threads(None, (channels, work)) == threads
 
     @pytest.mark.parametrize("route", ["batch", "per-packet", "stateful"])
     def test_above_the_floor_the_caller_and_one_worker_split(self, pools, route):
@@ -548,7 +587,7 @@ class TestThreads:
             finished.append(True)
 
         with pytest.raises(RuntimeError, match=f"{failing} block"):
-            filtering._filter_channel_blocks(sig, 2, fill)
+            filtering._filter_channel_blocks(sig, _identity_kernel(), 2, fill)
         assert finished == [True]
         assert np.array_equal(filter_batch(sig, _identity_kernel(), n_threads=2).data, sig.data)
 

@@ -317,6 +317,12 @@ class TestReplicate:
         with pytest.raises(ValidationError):
             replicate_signal(sig, 0)
 
+    @pytest.mark.parametrize("factor", [10**15, 10**17], ids=["memory", "size"])
+    def test_too_large_to_allocate(self, factor):
+        sig = generate_synthetic(broadband_spec(channel_count=2, sample_count=50, seed=5))
+        with pytest.raises(ValidationError, match=f"2 channels x {50 * factor} samples"):
+            replicate_signal(sig, factor)
+
 
 class TestChannelBlocks:
     @pytest.mark.parametrize(
