@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable
 
 from .errors import ValidationError
+from .signal_core import _as_count
 
 THREADS_ENV_VAR = "STREAMFILT_THREADS"
 
@@ -65,9 +66,7 @@ def resolve_threads(n_threads: int | None, shape: tuple[int, int]) -> int:
             return 1
         else:
             n_threads = _available_cpus()
-    if n_threads < 1:
-        raise ValidationError(f"thread count must be >= 1, got {n_threads}")
-    return min(n_threads, channels)
+    return min(_as_count(n_threads, "thread count"), channels)
 
 
 class _WorkerPool:

@@ -31,7 +31,7 @@ from .filtering import (
     mode_from_name,
 )
 from .fir_design import FilterSpec, design_bandpass
-from .signal_core import SignalMatrix, _as_int, replicate_signal
+from .signal_core import SignalMatrix, _as_count, _as_int, replicate_signal
 
 
 # The standard normal's upper 97.5 percent point, written out so that the
@@ -82,9 +82,7 @@ def student_t_975(df: int) -> float:
     with 40-digit mpmath to about 3e-14 relative. df must be an integer
     >= 1; a bool, float or str raises ValidationError.
     """
-    n = _as_int(df)
-    if n is None or n < 1:
-        raise ValidationError(f"degrees of freedom must be an integer >= 1, got {df!r}")
+    n = _as_count(df, "degrees of freedom")
     t = _cornish_fisher_975(n)
     if n > _EXACT_MAX_DF:
         return t
@@ -178,10 +176,8 @@ def time_filtering(
     the latency ordering of the routes is that of one core, not of however
     many cores the host has.
     """
-    if repetitions < 2:
-        raise ValidationError(f"repetitions must be >= 2, got {repetitions}")
-    if warmup < 0:
-        raise ValidationError(f"warmup must be >= 0, got {warmup}")
+    repetitions = _as_count(repetitions, "repetitions", 2)
+    warmup = _as_count(warmup, "warmup", 0)
     for _ in range(warmup):
         out = apply_mode(signal, kernel, mode, method=method, n_threads=1)
     samples = []
@@ -231,14 +227,13 @@ class SweepConfig:
             raise ValidationError(
                 f"mode must be {PerPacket.name!r} or {StatefulStream.name!r}, got {self.mode!r}"
             )
-        if self.repetitions_accuracy < 1:
-            raise ValidationError("repetitions_accuracy must be >= 1")
-        if self.repetitions_timing < 2:
-            raise ValidationError("repetitions_timing must be >= 2")
-        if self.replicate_factor < 1:
-            raise ValidationError("replicate_factor must be >= 1")
-        if self.warmup < 0:
-            raise ValidationError("warmup must be >= 0")
+        for name, minimum in (
+            ("repetitions_accuracy", 1),
+            ("repetitions_timing", 2),
+            ("replicate_factor", 1),
+            ("warmup", 0),
+        ):
+            object.__setattr__(self, name, _as_count(getattr(self, name), name, minimum))
 
 
 def run_sweep(

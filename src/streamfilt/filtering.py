@@ -35,7 +35,7 @@ from ._threads import run_channel_blocks
 from .convolution import METHODS, ReflectedConvolver, convolve_reflected, reflect_pad_columns
 from .errors import ValidationError
 from .fir_design import FirKernel
-from .signal_core import SignalMatrix, _as_int, _check_out
+from .signal_core import SignalMatrix, _as_count, _as_int, _check_out
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,7 @@ def packetize(signal: SignalMatrix, packet_size: int) -> PacketPlan:
 
     A packet size larger than the record clamps to one whole-record packet.
     """
-    size = _as_int(packet_size)
-    if size is None or size < 1:
-        raise ValidationError(f"packet_size must be an integer >= 1, got {packet_size!r}")
+    size = _as_count(packet_size, "packet_size")
     total = signal.info.sample_count
     if size >= total:
         return PacketPlan(packet_size_samples=total, packet_count=1, tail_size_samples=0)
@@ -213,6 +211,12 @@ def filter_batch(
     available CPU when the padded record has enough channel-samples
     (_threads.resolve_threads), and the caller's thread otherwise. out, if
     given, receives the output, as in _filter_channel_blocks.
+
+    A record shorter than the kernel is filtered too, not rejected: live
+    packets are whole records, most of them shorter than the kernel. Its
+    output is mostly reflection, and a record of at most the group delay
+    has too few samples to reflect once, so its reflection wraps (numpy's
+    "reflect" padding, periodic with period 2 * (samples - 1)).
     """
     _check_compatible(signal, kernel)
     delay = kernel.group_delay_samples
@@ -246,7 +250,8 @@ def filter_per_packet(
 
     def fill(data: np.ndarray, out: np.ndarray) -> None:
         # One convolver per packet length (the packet size and the tail),
-        # and per thread, since each holds its own transform buffer.
+        # and per thread, since each keeps its own block plan and its
+        # spectrum and time buffers.
         convolvers: dict[int, ReflectedConvolver] = {}
         for start, stop in plan.slices():
             size = stop - start

@@ -17,6 +17,7 @@ from numpy.fft import rfft
 
 from .errors import NyquistViolationError, ValidationError
 from ._fsio import atomic_write_csv
+from .signal_core import _as_int
 
 # Bytes of complex basis frequency_response builds per block of frequencies.
 _RESPONSE_BLOCK_BYTES = 1 << 22
@@ -56,10 +57,12 @@ class FilterSpec:
                 f"the Nyquist frequency {self.nyquist_hz}"
             )
         if self.length_override is not None:
-            if self.length_override < 3 or self.length_override % 2 == 0:
+            length = _as_int(self.length_override)
+            if length is None or length < 3 or length % 2 == 0:
                 raise ValidationError(
-                    f"length_override must be an odd integer >= 3, got {self.length_override}"
+                    f"length_override must be an odd integer >= 3, got {self.length_override!r}"
                 )
+            object.__setattr__(self, "length_override", length)
 
     @property
     def nyquist_hz(self) -> float:

@@ -86,10 +86,8 @@ class SignalInfo:
             raise ValidationError(
                 f"sampling_rate_hz must be finite and positive, got {self.sampling_rate_hz}"
             )
-        if self.channel_count < 1:
-            raise ValidationError(f"channel_count must be >= 1, got {self.channel_count}")
-        if self.sample_count < 1:
-            raise ValidationError(f"sample_count must be >= 1, got {self.sample_count}")
+        for name in ("channel_count", "sample_count"):
+            object.__setattr__(self, name, _as_count(getattr(self, name), name))
         labels = tuple(self.channel_labels)
         object.__setattr__(self, "channel_labels", labels)
         if len(labels) != self.channel_count:
@@ -213,6 +211,15 @@ def _as_int(value) -> int | None:
         return operator.index(value)
     except TypeError:
         return None
+
+
+def _as_count(value, name: str, minimum: int = 1) -> int:
+    """value as an int when it is an integer >= minimum (see _as_int), else
+    ValidationError naming it."""
+    count = _as_int(value)
+    if count is None or count < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -342,8 +349,7 @@ def broadband_spec(
 
 def replicate_signal(signal: SignalMatrix, factor: int) -> SignalMatrix:
     """Concatenate factor copies of the signal along the time axis."""
-    if factor < 1:
-        raise ValidationError(f"replicate factor must be >= 1, got {factor}")
+    factor = _as_count(factor, "replicate factor")
     if factor == 1:
         return signal
     info = SignalInfo(

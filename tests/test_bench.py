@@ -168,6 +168,21 @@ class TestTimeFiltering:
         with pytest.raises(ValidationError):
             time_filtering(signal, kernel, Batch(), 1)
 
+    @pytest.mark.parametrize(
+        "repetitions,warmup",
+        [(2.5, 0), (2.0, 0), ("2", 0), (2, 1.5), (2, True), (2, "1")],
+        ids=repr,
+    )
+    def test_counts_must_be_integers(self, repetitions, warmup):
+        signal, kernel = _small_setup()
+        with pytest.raises(ValidationError, match="must be an integer"):
+            time_filtering(signal, kernel, Batch(), repetitions, warmup=warmup)
+
+    def test_numpy_integer_counts(self):
+        signal, kernel = _small_setup()
+        report = time_filtering(signal, kernel, Batch(), np.int64(2), warmup=np.int32(0))
+        assert report.repetitions == 2
+
     def test_real_clock_smoke(self):
         signal, kernel = _small_setup()
         report = time_filtering(signal, kernel, Batch(), 3, warmup=1)
@@ -208,6 +223,24 @@ class TestSweepConfig:
             SweepConfig(filter_spec=self._spec(), packet_sizes=(100,), repetitions_timing=1)
         with pytest.raises(ValidationError):
             SweepConfig(filter_spec=self._spec(), packet_sizes=(100,), repetitions_accuracy=0)
+
+    @pytest.mark.parametrize(
+        "field", ["repetitions_accuracy", "repetitions_timing", "replicate_factor", "warmup"]
+    )
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"], ids=repr)
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            SweepConfig(filter_spec=self._spec(), packet_sizes=(100,), **{field: value})
+
+    def test_numpy_integer_counts_become_ints(self):
+        counts = dict(repetitions_accuracy=1, repetitions_timing=2, replicate_factor=1, warmup=0)
+        config = SweepConfig(
+            filter_spec=self._spec(),
+            packet_sizes=(100,),
+            **{name: np.int64(value) for name, value in counts.items()},
+        )
+        assert {name: getattr(config, name) for name in counts} == counts
+        assert all(type(getattr(config, name)) is int for name in counts)
 
 
 class TestRunSweep:

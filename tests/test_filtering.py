@@ -190,6 +190,18 @@ class TestFilterBatch:
         with pytest.raises(ValidationError):
             filter_batch(sig, kernel)
 
+    @pytest.mark.parametrize("n_threads", [1.5, 2.0, True, "2", 0], ids=repr)
+    def test_thread_count_must_be_a_positive_integer(self, n_threads):
+        sig = _random_signal(4, 1000, seed=7)
+        with pytest.raises(ValidationError, match="thread count must be an integer"):
+            filter_batch(sig, _small_kernel(61), n_threads=n_threads)
+
+    def test_numpy_integer_thread_count(self):
+        sig = _random_signal(4, 1000, seed=7)
+        kernel = _small_kernel(61)
+        base = filter_batch(sig, kernel, n_threads=1).data
+        assert np.array_equal(filter_batch(sig, kernel, n_threads=np.int64(2)).data, base)
+
     def test_rate_mismatch_rejected(self):
         sig = _random_signal(1, 100, seed=8, rate=500.0)
         with pytest.raises(ValidationError):

@@ -41,6 +41,16 @@ class TestFilterSpec:
         with pytest.raises(ValidationError):
             FilterSpec(2.0, 30.0, 600.0, length_override=length)
 
+    @pytest.mark.parametrize("length", [991.0, 991.5, True, "991"], ids=repr)
+    def test_override_must_be_an_integer(self, length):
+        with pytest.raises(ValidationError, match="length_override must be an odd integer"):
+            FilterSpec(2.0, 30.0, 600.614, length_override=length)
+
+    def test_numpy_integer_override_becomes_an_int(self):
+        spec = FilterSpec(2.0, 30.0, 600.614, length_override=np.int64(31))
+        assert type(spec.length_override) is int
+        assert design_bandpass(spec).length == 31
+
     def test_nyquist(self):
         assert FilterSpec(2.0, 30.0, 600.614).nyquist_hz == 300.307
 

@@ -61,6 +61,19 @@ class TestSignalInfo:
         with pytest.raises(ValidationError):
             SignalInfo(100.0, channels, samples, default_labels(max(channels, 1)))
 
+    @pytest.mark.parametrize("field", ["channel_count", "sample_count"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"], ids=repr)
+    def test_counts_must_be_integers(self, field, value):
+        fields = dict(sampling_rate_hz=100.0, channel_count=2, sample_count=10)
+        fields[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            SignalInfo(**fields, channel_labels=("a", "b"))
+
+    def test_numpy_integer_counts_become_ints(self):
+        info = SignalInfo(100.0, np.int64(2), np.uint16(10), ("a", "b"))
+        assert info == SignalInfo(100.0, 2, 10, ("a", "b"))
+        assert type(info.channel_count) is int and type(info.sample_count) is int
+
     def test_label_count_mismatch(self):
         with pytest.raises(ValidationError):
             SignalInfo(100.0, 2, 10, ("only",))
@@ -316,6 +329,17 @@ class TestReplicate:
         sig = generate_synthetic(broadband_spec(channel_count=1, sample_count=50, seed=5))
         with pytest.raises(ValidationError):
             replicate_signal(sig, 0)
+
+    @pytest.mark.parametrize("factor", [2.0, 1.5, True, "2"], ids=repr)
+    def test_factor_must_be_an_integer(self, factor):
+        sig = generate_synthetic(broadband_spec(channel_count=1, sample_count=50, seed=5))
+        with pytest.raises(ValidationError, match="replicate factor must be an integer"):
+            replicate_signal(sig, factor)
+
+    def test_numpy_integer_factor(self):
+        sig = generate_synthetic(broadband_spec(channel_count=1, sample_count=50, seed=5))
+        twice = replicate_signal(sig, np.int64(2))
+        assert np.array_equal(twice.data, replicate_signal(sig, 2).data)
 
     @pytest.mark.parametrize("factor", [10**15, 10**17], ids=["memory", "size"])
     def test_too_large_to_allocate(self, factor):
