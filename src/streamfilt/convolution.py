@@ -5,13 +5,13 @@ return only fully overlapped output positions (width - length + 1 columns),
 so the callers control boundary handling explicitly via padding.
 
 ReflectedConvolver is the one engine underneath: it convolves the record
-reflect-padded by pad columns on each side and writes the valid outputs
-into an array the caller allocated, without ever building the padded
-record. Only the columns that fall in the reflections are materialised;
-everything else is read straight from the record. It does the work that
-depends on the input's shape once, so a loop over equal packets reuses it;
-convolve_reflected is its one-call form, and convolve_valid and
-convolve_valid_direct are the same code with a pad of 0.
+reflect-padded by pad columns on each side, or any window of those padded
+columns, and writes the valid outputs into an array the caller allocated,
+without ever building the padded record. Only the columns that fall in the
+reflections are materialised; everything else is read straight from the
+record. It does the work that depends on the input's shape once, so a loop
+over equal packets reuses it; convolve_reflected is its one-call form, and
+convolve_valid and convolve_valid_direct are the same code with a pad of 0.
 
 Two engines are provided. The direct engine is one np.convolve per channel
 and is also the reference for the streaming path, whose outputs must be
@@ -58,14 +58,16 @@ def _reflection(width: int, pad: int, start: int, stop: int):
     """How columns [start, stop) of reflect_pad(data, pad) come from a record
     of width columns, worked out from the shape alone.
 
-    0 <= start <= stop <= width + 2 * pad. Returns the slice of record
-    columns when the window lies inside the record, a gather index when the
-    reflection wraps, else a list of (first, last, src_first, src_last,
-    reversed) copies: window columns [first, last) take record columns
-    [src_first, src_last), in reverse order when reversed is set.
+    pad >= 0 and 0 <= start <= stop <= width + 2 * pad, else ValidationError.
+    Returns the slice of record columns when the window lies inside the
+    record, a gather index when the reflection wraps, else a list of (first,
+    last, src_first, src_last, reversed) copies: window columns [first, last)
+    take record columns [src_first, src_last), backwards if reversed is set.
     """
     if pad < 0:
         raise ValidationError(f"pad must be >= 0, got {pad}")
+    if not 0 <= start <= stop <= width + 2 * pad:
+        raise ValidationError(f"columns [{start}, {stop}) are not in the padded record")
     lo, hi = start - pad, stop - pad  # in record columns
     if 0 <= lo and hi <= width:
         return slice(lo, hi)
@@ -149,7 +151,8 @@ def choose_method(width: int, length: int) -> str:
 
 
 class ReflectedConvolver:
-    """convolve_reflected for every input of one shape.
+    """convolve_reflected for every input of one shape, on columns = (lo, hi)
+    of the padded record (default: all), into hi - lo - length + 1 columns.
 
     The constructor does the work that depends on the shape alone: it picks
     the engine, works out the reflection, and for the FFT engine the block
@@ -168,17 +171,17 @@ class ReflectedConvolver:
         pad: int,
         method: str = "auto",
         spectrum: Callable[[int], np.ndarray] | None = None,
+        columns: tuple[int, int] | None = None,
     ) -> None:
         if method not in METHODS:
             raise ValidationError(f"unknown convolution method {method!r}")
         rows, record_width = shape
-        width = record_width + 2 * pad
-        length = taps.size
+        lo, hi = (0, record_width + 2 * pad) if columns is None else columns
+        self._window = _reflection(record_width, pad, lo, hi)
+        width, length = hi - lo, taps.size
         out_width = max(width - length + 1, 0)
-        self.shape = (rows, record_width)
-        self.out_shape = (rows, out_width)
-        self._taps, self._pad, self._width = taps, pad, width
-        self._reflection = _reflection(record_width, pad, 0, width)
+        self.shape, self.out_shape = (rows, record_width), (rows, out_width)
+        self.columns, self._taps = (lo, hi), taps
         self._method = choose_method(width, length) if method == "auto" else method
         if self._method == "fft" and out_width:
             block = _next_fast_len(max(_BLOCK_KERNEL_FACTOR * length, _BLOCK_MIN))
@@ -188,7 +191,7 @@ class ReflectedConvolver:
             while done < out_width:
                 stop = min(done + block, width)
                 take = min(stop - done - length + 1, out_width - done)
-                window = _reflection(record_width, pad, done, stop)
+                window = _reflection(record_width, pad, lo + done, lo + stop)
                 self._blocks.append((done, stop - done, take, window))
                 done += take
             self._kernel_spectrum = rfft(taps, block) if spectrum is None else spectrum(block)
@@ -196,7 +199,7 @@ class ReflectedConvolver:
             self._filtered = np.empty((rows, block), dtype=np.float64)
 
     def __call__(self, data: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write convolve_valid(reflect_pad(data, pad), taps) into out."""
+        """Write convolve_valid(reflect_pad(data, pad)[:, lo:hi], taps) into out."""
         if data.shape != self.shape:
             raise ValidationError(f"input shape {data.shape} does not match {self.shape}")
         if out.shape != self.out_shape:
@@ -228,14 +231,13 @@ class ReflectedConvolver:
             out[:, start : start + take] = filtered[:, skip : skip + take]
 
     def _direct(self, data: np.ndarray, out: np.ndarray) -> None:
-        # One padded row at a time, so the padded input is never built whole.
-        inside = self._pad == 0
-        row = None if inside else np.empty((1, self._width), dtype=np.float64)
+        # One padded row at a time; a window inside the record is read in place.
+        window, row = self._window, np.empty((1, self.columns[1] - self.columns[0]))
         for ch in range(data.shape[0]):
-            if inside:
-                padded = data[ch]
+            if isinstance(window, slice):
+                padded = data[ch, window]
             else:
-                _copy_reflection(data[ch : ch + 1], self._reflection, row)
+                _copy_reflection(data[ch : ch + 1], window, row)
                 padded = row[0]
             out[ch] = np.convolve(padded, self._taps, mode="valid")
 

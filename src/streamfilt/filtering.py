@@ -8,14 +8,18 @@ Each route allocates its output once, or takes the caller's out, and
 writes every piece of work into its slice of it; none builds a padded copy
 of the record or a list of parts to concatenate. Batch convolves the whole
 record as if reflect-padded once.
-Per-packet treats every packet as its own tiny record (reflect-pad, filter,
-trim, written into the packet's columns), which reproduces the boundary
-artifacts of naive real-time filtering and is deliberately not equivalent
-to batch. The stateful stream is direct batch evaluated as packets
-arrive: after each packet it writes the outputs whose window of the
-reflect-padded samples received so far is complete, so its output matches
-batch at every sample and is bitwise identical for any packetization of the
-same signal.
+
+Per-packet and the stateful stream are one packet loop with two settings.
+After the packet that ends at stop, it writes the outputs [done, ready)
+from one window of the samples it may use, reflect-padded:
+- history off (per-packet): the packet alone, with outputs written up to
+  stop. Each packet is its own tiny record, which reproduces the boundary
+  artifacts of naive real-time filtering; not equivalent to batch.
+- history on (stateful): every sample received so far, with outputs held
+  back by the group delay, to stop - delay; the last packet finishes the
+  record. The output equals direct batch bitwise, for any packetization.
+Neither reads a sample after stop. A lookahead between the two (history,
+outputs held back by less than the delay) is an open sweep-report item.
 
 Channels are independent, and np.convolve and numpy.fft release the GIL, so
 every route splits its channels into contiguous blocks and filters them on
@@ -32,7 +36,7 @@ from typing import Callable, ClassVar, Iterator
 import numpy as np
 
 from ._threads import run_channel_blocks
-from .convolution import METHODS, ReflectedConvolver, convolve_reflected, reflect_pad_columns
+from .convolution import ReflectedConvolver, convolve_reflected
 from .errors import ValidationError
 from .fir_design import FirKernel
 from .signal_core import SignalMatrix, _as_count, _as_int, _check_out
@@ -157,14 +161,6 @@ def _check_compatible(signal: SignalMatrix, kernel: FirKernel) -> None:
         )
 
 
-def _check_plan(signal: SignalMatrix, plan: PacketPlan) -> None:
-    if plan.total_samples() != signal.info.sample_count:
-        raise ValidationError(
-            f"plan covers {plan.total_samples()} samples, "
-            f"signal has {signal.info.sample_count}"
-        )
-
-
 def _filter_channel_blocks(
     signal: SignalMatrix,
     kernel: FirKernel,
@@ -227,6 +223,46 @@ def filter_batch(
     return _filter_channel_blocks(signal, kernel, n_threads, fill, out)
 
 
+def _filter_packets(
+    signal: SignalMatrix,
+    kernel: FirKernel,
+    plan: PacketPlan,
+    history: bool,
+    method: str,
+    n_threads: int | None,
+    out: np.ndarray | None,
+) -> SignalMatrix:
+    """The packet loop of the module docstring, with or without history.
+
+    Outputs [done, ready) convolve columns [done - origin, ready - origin +
+    2 * delay) of data[:, origin:stop] reflect-padded by delay, through one
+    convolver per thread, rebuilt when the shape or the window changes.
+    """
+    _check_compatible(signal, kernel)
+    width = signal.info.sample_count
+    if plan.total_samples() != width:
+        raise ValidationError(f"plan covers {plan.total_samples()} samples, signal has {width}")
+    delay = kernel.group_delay_samples
+
+    def fill(data: np.ndarray, out: np.ndarray) -> None:
+        convolver, done = None, 0
+        for start, stop in plan.slices():
+            origin = 0 if history else start
+            ready = width if stop == width else stop - (delay if history else 0)
+            if ready <= done:
+                continue
+            record = data[:, origin:stop]
+            window = (done - origin, ready - origin + 2 * delay)
+            if convolver is None or (convolver.shape, convolver.columns) != (record.shape, window):
+                convolver = ReflectedConvolver(
+                    record.shape, kernel.taps, delay, method, kernel.spectrum, window
+                )
+            convolver(record, out[:, done:ready])
+            done = ready
+
+    return _filter_channel_blocks(signal, kernel, n_threads, fill, out)
+
+
 def filter_per_packet(
     signal: SignalMatrix,
     kernel: FirKernel,
@@ -241,28 +277,10 @@ def filter_per_packet(
     Each packet gets its own reflect padding and trim, so packet boundaries
     leave artifacts. That is the point: this models live filtering that
     restarts on every packet. Packets shorter than the padding (small tails)
-    still work, the reflection just wraps. n_threads and out are as in
-    filter_batch.
+    still work, the reflection just wraps. This is the packet loop without
+    history. n_threads and out are as in filter_batch.
     """
-    _check_compatible(signal, kernel)
-    _check_plan(signal, plan)
-    delay = kernel.group_delay_samples
-
-    def fill(data: np.ndarray, out: np.ndarray) -> None:
-        # One convolver per packet length (the packet size and the tail),
-        # and per thread, since each keeps its own block plan and its
-        # spectrum and time buffers.
-        convolvers: dict[int, ReflectedConvolver] = {}
-        for start, stop in plan.slices():
-            size = stop - start
-            if size not in convolvers:
-                shape = (data.shape[0], size)
-                convolvers[size] = ReflectedConvolver(
-                    shape, kernel.taps, delay, method, kernel.spectrum
-                )
-            convolvers[size](data[:, start:stop], out[:, start:stop])
-
-    return _filter_channel_blocks(signal, kernel, n_threads, fill, out)
+    return _filter_packets(signal, kernel, plan, False, method, n_threads, out)
 
 
 def filter_stateful_stream(
@@ -275,31 +293,13 @@ def filter_stateful_stream(
 ) -> SignalMatrix:
     """Filter packets as they arrive, each output from the samples received so far.
 
-    After the packet that ends at stop, outputs [done, stop - delay) have
-    every input they need, and each is one window of data[:, :stop]
-    reflect-padded: no sample after stop is read. The last packet brings
-    the right reflection and finishes the record. So every output sees
-    exactly the samples it would see in filter_batch; an interior window is
-    a view of the record. Uses the direct engine only: its per-window dot
-    products do not depend on packet boundaries, which makes the output
-    bitwise identical across packetizations (not merely close). n_threads
-    and out are as in filter_batch.
+    The packet loop with history: every output sees exactly the samples it
+    would see in filter_batch, and none after its packet. It runs on the
+    direct engine only, whose per-window dot products do not depend on
+    packet boundaries, so the output is bitwise identical, not merely close,
+    across packetizations. n_threads and out are as in filter_batch.
     """
-    _check_compatible(signal, kernel)
-    _check_plan(signal, plan)
-    width = signal.info.sample_count
-    delay = kernel.group_delay_samples
-
-    def fill(data: np.ndarray, out: np.ndarray) -> None:
-        done = 0
-        for _, stop in plan.slices():
-            ready = width if stop == width else stop - delay
-            if ready > done:
-                window = reflect_pad_columns(data[:, :stop], delay, done, ready + 2 * delay)
-                convolve_reflected(window, kernel.taps, 0, out[:, done:ready], "direct")
-                done = ready
-
-    return _filter_channel_blocks(signal, kernel, n_threads, fill, out)
+    return _filter_packets(signal, kernel, plan, True, "direct", n_threads, out)
 
 
 def apply_mode(
@@ -320,13 +320,11 @@ def apply_mode(
     if isinstance(mode, Batch):
         return filter_batch(signal, kernel, method=method, n_threads=n_threads, out=out)
     if isinstance(mode, PerPacket):
-        return filter_per_packet(
-            signal, kernel, mode.plan, method=method, n_threads=n_threads, out=out
-        )
+        return _filter_packets(signal, kernel, mode.plan, False, method, n_threads, out)
     if isinstance(mode, StatefulStream):
-        if method not in METHODS[:2]:
+        if method not in ("auto", "direct"):
             raise ValidationError(
                 f"the stateful stream runs on the direct engine, got method {method!r}"
             )
-        return filter_stateful_stream(signal, kernel, mode.plan, n_threads=n_threads, out=out)
+        return _filter_packets(signal, kernel, mode.plan, True, "direct", n_threads, out)
     raise ValidationError(f"unknown filter mode {mode!r}")

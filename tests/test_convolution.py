@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
@@ -79,28 +79,77 @@ class TestConvolveReflected:
             convolve_reflected(np.zeros((1, 100)), np.ones(3), 1, np.empty((1, 100)), "fast")
 
 
-def _fresh_transforms_per_block(data, taps, pad):
+def _fresh_transforms_per_block(data, taps, pad, columns=None):
     """The overlap-save loop with a new spectrum and a new inverse for
     every block: the reference the buffered engine must equal bit for bit.
-    An input of at most two standard blocks is one block of its own fast
-    length."""
+    columns = (lo, hi) convolves only those columns of the padded record
+    (default: all of them). An input of at most two standard blocks is one
+    block of its own fast length."""
     length = taps.size
-    width = data.shape[1] + 2 * pad
+    lo, hi = (0, data.shape[1] + 2 * pad) if columns is None else columns
+    width = hi - lo
     block = _next_fast_len(max(16 * length, 4096))
     if _next_fast_len(width) <= 2 * block:
         block = _next_fast_len(width)
     kernel = np.fft.rfft(taps, block)
-    out = np.empty((data.shape[0], width - length + 1))
+    out = np.empty((data.shape[0], max(width - length + 1, 0)))
     done = 0
     while done < out.shape[1]:
         stop = min(done + block, width)
         take = min(stop - done - length + 1, out.shape[1] - done)
-        spectrum = np.fft.rfft(reflect_pad_columns(data, pad, done, stop), block, axis=-1)
+        window = reflect_pad_columns(data, pad, lo + done, lo + stop)
+        spectrum = np.fft.rfft(window, block, axis=-1)
         spectrum *= kernel
         filtered = np.fft.irfft(spectrum, block, axis=-1)
         out[:, done : done + take] = filtered[:, length - 1 : length - 1 + take]
         done += take
     return out
+
+
+@st.composite
+def _convolver_windows(draw):
+    """A record width, a pad, a window of the padded columns and a kernel
+    no longer than the window; records no wider than the pad wrap."""
+    width = draw(st.integers(1, 60))
+    pad = draw(st.integers(0, 80))
+    total = width + 2 * pad
+    lo = draw(st.integers(0, total - 1))
+    hi = draw(st.integers(lo + 1, total))
+    return width, pad, (lo, hi), draw(st.integers(1, hi - lo))
+
+
+class TestWindowedConvolver:
+    """ReflectedConvolver(..., columns=(lo, hi)) convolves only those
+    columns of the padded record."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_convolver_windows(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    # Windows of many overlap-save blocks: inside the record, and reaching
+    # both reflections.
+    @example((30000, 15, (20, 29990), 31), 2, 0)
+    @example((20000, 495, (0, 20990), 991), 1, 1)
+    def test_equals_the_padded_window(self, case, channels, seed):
+        width, pad, (lo, hi), length = case
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((channels, width))
+        taps = rng.standard_normal(length)
+        window = np.pad(data, ((0, 0), (pad, pad)), mode="reflect")[:, lo:hi]
+        expected = {
+            "direct": np.stack([np.convolve(row, taps, mode="valid") for row in window]),
+            "fft": _fresh_transforms_per_block(data, taps, pad, (lo, hi)),
+        }
+        for method, want in expected.items():
+            convolver = ReflectedConvolver(data.shape, taps, pad, method, columns=(lo, hi))
+            assert convolver.out_shape == want.shape == (channels, hi - lo - length + 1)
+            out = np.full(want.shape, np.nan)
+            convolver(data, out)
+            assert np.array_equal(out, want), method
+
+    @pytest.mark.parametrize("columns", [(-1, 5), (6, 5), (0, 31), (31, 31)])
+    def test_window_outside_the_padded_record_rejected(self, columns):
+        # A 10-column record padded by 10 has 30 columns.
+        with pytest.raises(ValidationError, match="not in the padded record"):
+            ReflectedConvolver((2, 10), np.ones(3), 10, "direct", columns=columns)
 
 
 class TestOverlapSave:

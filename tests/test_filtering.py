@@ -355,11 +355,13 @@ class TestFilterStatefulStream:
         assert np.array_equal(out.data, filter_batch(sig, kernel, method="direct").data)
 
     # The same ranges, on a record whose samples arrive with the packets:
-    # each packet is written into the record when the stream asks for it,
+    # each packet is written into the record when the route asks for it,
     # and until then its samples are NaN, which a read would carry into the
     # output. So no output may depend on a sample after the packet that
-    # made it ready: after the packet that ends at stop, outputs
-    # [0, stop - delay) must already be those of the whole record.
+    # made it ready: after the packet that ends at stop, outputs [0, ready)
+    # must already be those of the whole record, where ready is stop
+    # without history and stop - delay with it.
+    @pytest.mark.parametrize("history", [False, True], ids=["per-packet", "stateful"])
     @settings(max_examples=150, deadline=None)
     @given(
         channels=st.integers(1, 3),
@@ -372,26 +374,28 @@ class TestFilterStatefulStream:
     @example(channels=1, samples=3000, length=201, packet=400, seed=1)
     @example(channels=3, samples=3000, length=3, packet=1, seed=2)
     def test_outputs_do_not_depend_on_later_samples(
-        self, channels, samples, length, packet, seed
+        self, history, channels, samples, length, packet, seed
     ):
+        route = filter_stateful_stream if history else filter_per_packet
         sig = _random_signal(channels, samples, seed)
         kernel = _small_kernel(length)
         plan = packetize(sig, packet)
-        expected = filter_stateful_stream(sig, kernel, plan).data
+        expected = route(sig, kernel, plan).data
         live = make_signal(np.zeros((channels, samples)))
         live.data.setflags(write=True)
         live.data[...] = np.nan
         out = np.full((channels, samples), np.nan)
+        lag = kernel.group_delay_samples if history else 0
 
         def arrive():
             for start, stop in plan.slices():
                 live.data[:, start:stop] = sig.data[:, start:stop]
                 yield start, stop
-                ready = max(stop - kernel.group_delay_samples, 0)
+                ready = max(stop - lag, 0)
                 assert np.array_equal(out[:, :ready], expected[:, :ready])
 
         arriving = SimpleNamespace(total_samples=plan.total_samples, slices=arrive)
-        filter_stateful_stream(live, kernel, arriving, n_threads=1, out=out)
+        route(live, kernel, arriving, n_threads=1, out=out)
         assert np.array_equal(out, expected)
 
 
