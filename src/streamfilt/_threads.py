@@ -2,15 +2,16 @@
 come from.
 
 Every route in filtering and the Pearson kernel in fidelity treat each
-channel on its own, so they split a record into contiguous channel blocks
-and hand the blocks to run_channel_blocks. The threads come from one pool
-per process, built on first use and kept, so a live packet pays a hand-off
-to a waiting worker rather than a pool's start-up, and no library's own
-thread pool is left spinning after a call. n_threads=None takes
-STREAMFILT_THREADS when it is set (1 models a single-core Edge box), else
-the CPUs this process may run on when the call has at least
+channel on its own, and per-packet work treats each packet on its own, so a
+call splits its count items (channels, or packets) into contiguous ranges
+and hands them to run_ranges, one range per thread. The threads come from
+one pool per process, built on first use and kept, so a live packet pays a
+hand-off to a waiting worker rather than a pool's start-up, and no
+library's own thread pool is left spinning after a call. n_threads=None
+takes STREAMFILT_THREADS when it is set (1 models a single-core Edge box),
+else the CPUs this process may run on when the call has at least
 _MIN_THREADED_WORK channel-samples of work, and the caller's thread below
-it; either way capped by the channel count. Callers pass their shape and
+it; either way capped by the item count. Callers pass their shape and
 leave the decision here.
 """
 
@@ -45,12 +46,15 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def resolve_threads(n_threads: int | None, shape: tuple[int, int]) -> int:
+def resolve_threads(
+    n_threads: int | None, shape: tuple[int, int], count: int | None = None
+) -> int:
     """Threads a call of shape (channels, work per channel) runs on.
 
     An explicit n_threads, else STREAMFILT_THREADS, else the available CPUs
     when channels x work reaches _MIN_THREADED_WORK and 1 below it; capped
-    by the channel count.
+    by count, the items the call splits into ranges (its channels when
+    None).
     """
     channels, work = shape
     if n_threads is None:
@@ -66,7 +70,7 @@ def resolve_threads(n_threads: int | None, shape: tuple[int, int]) -> int:
             return 1
         else:
             n_threads = _available_cpus()
-    return min(_as_count(n_threads, "thread count"), channels)
+    return min(_as_count(n_threads, "thread count"), channels if count is None else count)
 
 
 class _WorkerPool:
@@ -103,31 +107,28 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
-def run_channel_blocks(
-    shape: tuple[int, int], n_threads: int | None, work: Callable[[slice], None]
-) -> None:
-    """Run work(rows) on contiguous blocks of shape's channels, one block
-    per thread resolved from n_threads and shape (as in resolve_threads).
+def run_ranges(count: int, threads: int, work: Callable[[slice], None]) -> None:
+    """Run work(items) on contiguous ranges of count items, as many as
+    threads (from resolve_threads) but no more than count.
 
-    The caller's thread runs the first block itself and the process's pool
+    The caller's thread runs the first range itself and the process's pool
     the others, so the pool needs one worker fewer than the thread count. A
     worker more would cost one more malloc arena: on 2 CPUs a pool of as
     many workers as threads raised the peak RSS of the batch CLI on the
     default record by 4.7 percent, against 1.0 percent this way. The pool's
-    workers, and so their arenas, live as long as the process. Every block
+    workers, and so their arenas, live as long as the process. Every range
     has finished before an error from any of them reaches the caller.
     """
-    threads = resolve_threads(n_threads, shape)
-    channels = shape[0]
-    if threads <= 1:  # 0 for a record of no channels
-        work(slice(0, channels))
+    threads = min(threads, count)
+    if threads <= 1:  # 0 for no items
+        work(slice(0, count))
         return
-    bounds = [i * channels // threads for i in range(threads + 1)]
-    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    bounds = [i * count // threads for i in range(threads + 1)]
+    ranges = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     pool = _pool.get(threads - 1)
-    futures = [pool.submit(work, rows) for rows in blocks[1:]]
+    futures = [pool.submit(work, items) for items in ranges[1:]]
     try:
-        work(blocks[0])
+        work(ranges[0])
     finally:
         wait(futures)  # no worker still writes into the caller's arrays
     for future in futures:

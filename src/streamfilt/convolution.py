@@ -60,9 +60,11 @@ def _reflection(width: int, pad: int, start: int, stop: int):
 
     pad >= 0 and 0 <= start <= stop <= width + 2 * pad, else ValidationError.
     Returns the slice of record columns when the window lies inside the
-    record, a gather index when the reflection wraps, else a list of (first,
-    last, src_first, src_last, reversed) copies: window columns [first, last)
-    take record columns [src_first, src_last), backwards if reversed is set.
+    record, else a list of (first, last, src_first, src_last, backwards)
+    copies: window columns [first, last) take record columns [src_first,
+    src_last), backwards if set. The copies cover at most one period of the
+    reflection; a window longer than that (its reflection wraps) repeats
+    them, as _copy_reflection does.
     """
     if pad < 0:
         raise ValidationError(f"pad must be >= 0, got {pad}")
@@ -71,35 +73,39 @@ def _reflection(width: int, pad: int, start: int, stop: int):
     lo, hi = start - pad, stop - pad  # in record columns
     if 0 <= lo and hi <= width:
         return slice(lo, hi)
-    if lo <= -width or hi >= 2 * width:
-        # The reflection wraps. Reflecting without repeating the edge is
-        # periodic with period 2 * (width - 1), so gather through that.
-        period = max(2 * (width - 1), 1)
-        index = np.abs(np.arange(lo, hi)) % period
-        return np.minimum(index, period - index)
-    # Column -j mirrors column j, and column width - 1 + j mirrors width - 1 - j.
-    sources = (
-        (1 - min(hi, 0), max(1 - lo, 0), True),
-        (max(lo, 0), max(min(hi, width), 0), False),
-        (2 * width - 1 - hi, 2 * width - 1 - max(lo, width), True),
-    )
-    copies, first = [], 0
-    for src_first, src_last, backwards in sources:
-        if src_last > src_first:
-            last = first + src_last - src_first
-            copies.append((first, last, src_first, src_last, backwards))
-            first = last
+    # Reflecting without repeating the edge is periodic with period
+    # 2 * (width - 1): at phase j of a period a column takes record column
+    # j while j < width, then period - j, back down to column 1.
+    period = max(2 * (width - 1), 1)
+    copies, first, last = [], 0, min(hi - lo, period)
+    while first < last:
+        phase = (lo + first) % period
+        if phase < width:
+            run = min(width - phase, last - first)
+            copies.append((first, first + run, phase, phase + run, False))
+        else:
+            run = min(period - phase, last - first)
+            copies.append((first, first + run, period - phase - run + 1, period - phase + 1, True))
+        first += run
     return copies
 
 
 def _copy_reflection(data: np.ndarray, reflection, out: np.ndarray) -> None:
-    """Write the window that reflection describes (see _reflection) into out."""
-    if isinstance(reflection, np.ndarray):
-        out[...] = np.take(data, reflection, axis=1)
-        return
+    """Write the window that reflection describes (see _reflection) into out.
+
+    A wrapped window's first period is copied from the record and the rest
+    from out itself, doubling the columns written with each copy, so even a
+    1- or 2-column record takes a few copies, not one per column.
+    """
+    written = 0
     for first, last, src_first, src_last, backwards in reflection:
         src = data[:, src_first:src_last]
         out[:, first:last] = src[:, ::-1] if backwards else src
+        written = last
+    while written < out.shape[1]:
+        run = min(written, out.shape[1] - written)
+        out[:, written : written + run] = out[:, :run]
+        written += run
 
 
 def reflect_pad_columns(data: np.ndarray, pad: int, start: int, stop: int) -> np.ndarray:

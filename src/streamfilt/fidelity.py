@@ -11,8 +11,8 @@ the centred squares and products over fixed chunks of _CHUNK columns with
 numpy's own loops, never BLAS, in scratch of one (rows x chunk) pair per
 channel block. Every row's r depends only on that row and the chunk bounds:
 not on the rows scored with it, the thread count or the BLAS library. The
-channel blocks run on the package's threads (_threads.run_channel_blocks),
-the same kept pool the filtering routes use.
+channel blocks run on the package's threads (_threads.run_ranges), the
+same kept pool the filtering routes use.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from ._fsio import atomic_write_csv
-from ._threads import run_channel_blocks
+from ._threads import resolve_threads, run_ranges
 from .errors import UndefinedCorrelationError, ValidationError
 from .signal_core import SignalMatrix
 
@@ -141,7 +141,8 @@ def correlate_rows(
     if x.shape[1] < 2:
         raise ValidationError(f"pearson needs at least 2 samples, got {x.shape[1]}")
     r = np.empty(x.shape[0])
-    run_channel_blocks(x.shape, n_threads, lambda rows: _score_rows(x[rows], y[rows], r[rows]))
+    threads = resolve_threads(n_threads, x.shape)
+    run_ranges(x.shape[0], threads, lambda rows: _score_rows(x[rows], y[rows], r[rows]))
     return r, ~np.isnan(r)
 
 

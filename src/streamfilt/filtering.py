@@ -22,20 +22,28 @@ Neither reads a sample after stop. A lookahead between the two (history,
 outputs held back by less than the delay) is an open sweep-report item.
 
 Channels are independent, and np.convolve and numpy.fft release the GIL, so
-every route splits its channels into contiguous blocks and filters them on
-the package's threads (_threads.run_channel_blocks), each block into its
-rows of the one output. Per-channel work does not depend on the grouping,
-so the output is bitwise the same for any thread count.
+the routes split their work into contiguous ranges and run them on the
+package's threads (_threads.run_ranges), each range into its part of the
+one output. Batch splits by channels. The packet loop splits by packets
+when the plan has at least as many packets as the record has channels:
+each thread runs the loop over its range of packets on every row, so a
+record of few channels still shares its Python loop out. It splits by
+channels otherwise (one-packet plans, live packets). Packets without
+history are independent, and with history each window is fixed by the
+outputs it writes, not by where a range starts; per-channel work does not
+depend on the grouping either. So the output is bitwise the same for any
+thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
-from ._threads import run_channel_blocks
+from ._threads import resolve_threads, run_ranges
 from .convolution import ReflectedConvolver, convolve_reflected
 from .errors import ValidationError
 from .fir_design import FirKernel
@@ -161,6 +169,26 @@ def _check_compatible(signal: SignalMatrix, kernel: FirKernel) -> None:
         )
 
 
+def _output(signal: SignalMatrix, out: np.ndarray | None) -> np.ndarray:
+    """A fresh output for signal, or out: a writable C-contiguous float64
+    array of the signal's shape that shares no memory with it, else
+    ValidationError."""
+    data = signal.data
+    if out is None:
+        return np.empty(data.shape, dtype=np.float64)
+    out = _check_out(out, data.shape, "float64")
+    if np.shares_memory(out, data):
+        raise ValidationError("out shares memory with the signal it filters")
+    return out
+
+
+def _padded_shape(signal: SignalMatrix, kernel: FirKernel) -> tuple[int, int]:
+    """The shape every route resolves its threads on: channels x (samples +
+    taps - 1)."""
+    channels, samples = signal.data.shape
+    return channels, samples + kernel.length - 1
+
+
 def _filter_channel_blocks(
     signal: SignalMatrix,
     kernel: FirKernel,
@@ -169,25 +197,15 @@ def _filter_channel_blocks(
     out: np.ndarray | None = None,
 ) -> SignalMatrix:
     """Run fill(data_rows, out_rows) on contiguous channel blocks of the
-    output, one block per thread, and return it. Every route resolves its
-    thread count on the record's padded shape, channels x (samples + taps
-    - 1).
+    output, one block per thread, and return it.
 
-    The output is allocated once, or is out: a writable C-contiguous
-    float64 array of the signal's shape that shares no memory with it,
-    else ValidationError. The result's data is then a read-only view of
-    out, which changes when the caller writes to out again.
+    The output is allocated once, or is out (checked as in _output). The
+    result's data is then a read-only view of out, which changes when the
+    caller writes to out again.
     """
-    data = signal.data
-    if out is None:
-        out = np.empty(data.shape, dtype=np.float64)
-    else:
-        out = _check_out(out, data.shape, "float64")
-        if np.shares_memory(out, data):
-            raise ValidationError("out shares memory with the signal it filters")
-    channels, samples = data.shape
-    padded = (channels, samples + kernel.length - 1)
-    run_channel_blocks(padded, n_threads, lambda rows: fill(data[rows], out[rows]))
+    data, out = signal.data, _output(signal, out)
+    threads = resolve_threads(n_threads, _padded_shape(signal, kernel))
+    run_ranges(data.shape[0], threads, lambda rows: fill(data[rows], out[rows]))
     return SignalMatrix._adopt(signal.info, out)
 
 
@@ -206,7 +224,7 @@ def filter_batch(
     None means STREAMFILT_THREADS when it is set, else one thread per
     available CPU when the padded record has enough channel-samples
     (_threads.resolve_threads), and the caller's thread otherwise. out, if
-    given, receives the output, as in _filter_channel_blocks.
+    given, receives the output, as in _output.
 
     A record shorter than the kernel is filtered too, not rejected: live
     packets are whole records, most of them shorter than the kernel. Its
@@ -236,31 +254,45 @@ def _filter_packets(
 
     Outputs [done, ready) convolve columns [done - origin, ready - origin +
     2 * delay) of data[:, origin:stop] reflect-padded by delay, through one
-    convolver per thread, rebuilt when the shape or the window changes.
+    convolver per thread, rebuilt when the shape or the window changes. A
+    range of packets starts with done at the ready of the packet before it.
+    One thread never asks the plan for its packet count: it reads
+    plan.slices() alone, in order, so packets may arrive as it runs.
     """
     _check_compatible(signal, kernel)
     width = signal.info.sample_count
     if plan.total_samples() != width:
         raise ValidationError(f"plan covers {plan.total_samples()} samples, signal has {width}")
     delay = kernel.group_delay_samples
+    lag = delay if history else 0
+    data, out = signal.data, _output(signal, out)
 
-    def fill(data: np.ndarray, out: np.ndarray) -> None:
+    def fill(rows: slice, packets: slice) -> None:
         convolver, done = None, 0
-        for start, stop in plan.slices():
+        for start, stop in islice(plan.slices(), packets.start, packets.stop):
+            done = max(done, start - lag)
             origin = 0 if history else start
-            ready = width if stop == width else stop - (delay if history else 0)
+            ready = width if stop == width else stop - lag
             if ready <= done:
                 continue
-            record = data[:, origin:stop]
+            record = data[rows, origin:stop]
             window = (done - origin, ready - origin + 2 * delay)
             if convolver is None or (convolver.shape, convolver.columns) != (record.shape, window):
                 convolver = ReflectedConvolver(
                     record.shape, kernel.taps, delay, method, kernel.spectrum, window
                 )
-            convolver(record, out[:, done:ready])
+            convolver(record, out[rows, done:ready])
             done = ready
 
-    return _filter_channel_blocks(signal, kernel, n_threads, fill, out)
+    channels, every = data.shape[0], slice(None)
+    # No plan has more packets than the record has samples, so this cap
+    # holds on either axis until the plan's own count is known.
+    threads = resolve_threads(n_threads, _padded_shape(signal, kernel), max(channels, width))
+    if threads > 1 and (packets := plan.chunk_count()) >= channels:
+        run_ranges(packets, threads, lambda span: fill(every, span))
+    else:
+        run_ranges(channels, threads, lambda rows: fill(rows, every))
+    return SignalMatrix._adopt(signal.info, out)
 
 
 def filter_per_packet(
@@ -278,7 +310,8 @@ def filter_per_packet(
     leave artifacts. That is the point: this models live filtering that
     restarts on every packet. Packets shorter than the padding (small tails)
     still work, the reflection just wraps. This is the packet loop without
-    history. n_threads and out are as in filter_batch.
+    history. n_threads and out are as in filter_batch, except that the
+    threads split the packets, when there are at least as many as channels.
     """
     return _filter_packets(signal, kernel, plan, False, method, n_threads, out)
 
@@ -297,7 +330,7 @@ def filter_stateful_stream(
     would see in filter_batch, and none after its packet. It runs on the
     direct engine only, whose per-window dot products do not depend on
     packet boundaries, so the output is bitwise identical, not merely close,
-    across packetizations. n_threads and out are as in filter_batch.
+    across packetizations. n_threads and out are as in filter_per_packet.
     """
     return _filter_packets(signal, kernel, plan, True, "direct", n_threads, out)
 

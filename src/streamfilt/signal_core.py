@@ -50,9 +50,12 @@ _PAYLOAD_SUFFIX = ".f64"
 # builds a bool mask the size of the record: 64 KiB of mask for any record.
 _FINITE_CHUNK = 1 << 16
 # Channel-samples in one block of a record read or written by channel
-# blocks (channel_blocks): 32 MiB of float64, 20/20/19-channel blocks on the
-# default record.
-_BLOCK_CHANNEL_SAMPLES = 1 << 22
+# blocks (channel_blocks): 16 MiB of float64, 12/12/12/12/11-channel blocks
+# on the default record. The CLI holds two blocks: halving them from 2^22
+# took a quarter off its peak RSS at the same speed, since a block of few
+# channels splits its packet loop by packets. 2^20 saved 16 MB more, but
+# made the batch CLI 6 and per-packet 400 19 percent slower.
+_BLOCK_CHANNEL_SAMPLES = 1 << 21
 
 # Scratch bytes for one column block of synthetic generation: the block's
 # sin/cos basis and its product with the coefficients. Small enough to stay

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +40,27 @@ class TestReflectPadColumns:
         got = reflect_pad_columns(data, pad, start, stop)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 200])
+    def test_a_wrapped_window_takes_a_few_copies(self, width):
+        # The reflection of 1 or 2 columns repeats every 1 or 2 columns; 991
+        # padded columns of it take one period of copies from the record and
+        # then copies that double what is written, not one per column.
+        pad = 495
+        data = np.random.default_rng(width).standard_normal((2, width))
+        assignments = []
+
+        class Counting(np.ndarray):
+            def __setitem__(self, key, value):
+                assignments.append(key)
+                super().__setitem__(key, value)
+
+        out = np.empty((2, width + 2 * pad)).view(Counting)
+        reflection = convolution._reflection(width, pad, 0, width + 2 * pad)
+        convolution._copy_reflection(data, reflection, out)
+        expected = np.pad(data, ((0, 0), (pad, pad)), mode="reflect")
+        assert np.array_equal(np.asarray(out), expected)
+        assert len(assignments) <= 3 + math.ceil(math.log2(out.shape[1]))
 
     def test_window_inside_record_is_a_view(self):
         data = np.arange(20.0).reshape(2, 10)

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from streamfilt import _threads, filtering
@@ -482,6 +482,40 @@ class TestThreads:
             for threads in (None, 2, 3):
                 assert np.array_equal(run(threads).data, base)
 
+    # Every plan here has at least as many packets as the record has
+    # channels, so 2 and 3 threads split it into packet ranges on all rows.
+    # 1-sample packets and tails come up, and with history packets shorter
+    # than the delay, so a range can start on packets that write nothing
+    # (ready <= done): with 99 taps and 7-sample packets, the second of
+    # three ranges starts at sample 35, and its first packet that writes
+    # anything ends at sample 56.
+    @pytest.mark.parametrize("history", [False, True], ids=["per-packet", "stateful"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        channels=st.integers(1, 4),
+        samples=st.integers(1, 600),
+        packet=st.one_of(st.just(1), st.integers(1, 60)),
+        length=st.sampled_from([31, 99]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(channels=2, samples=105, packet=7, length=99, seed=0)
+    @example(channels=4, samples=4, packet=1, length=31, seed=1)
+    @example(channels=3, samples=599, packet=60, length=99, seed=2)
+    def test_packet_ranges_equal_one_thread(
+        self, history, channels, samples, packet, length, seed
+    ):
+        sig = _random_signal(channels, samples, seed)
+        plan = packetize(sig, packet)
+        assume(plan.chunk_count() >= channels)
+        route = filter_stateful_stream if history else filter_per_packet
+        kernel = _small_kernel(length)
+        base = route(sig, kernel, plan, n_threads=1).data
+        for threads in (2, 3):
+            # NaN marks any output column that no range writes.
+            out = np.full(sig.data.shape, np.nan)
+            route(sig, kernel, plan, n_threads=threads, out=out)
+            assert np.array_equal(out, base)
+
     @staticmethod
     def _routes(sig, kernel, packet, n_threads=None):
         plan = packetize(sig, packet)
@@ -549,7 +583,7 @@ class TestThreads:
         "channels,work,threads",
         [
             (40, 512 + 990, 1),  # 40 channels x 512 samples, with 991 taps
-            (20, 166_800 + 990, 2),  # a channel block of the default record
+            (20, 166_800 + 990, 2),  # 20 channels as long as the default record
             (59, 166_800, 2),  # the default record, as the Pearson kernel counts it
             (1, 10**9, 1),  # capped by the channel count
         ],
@@ -567,6 +601,39 @@ class TestThreads:
         assert len(pools.lookups) == 1
         single = self._routes(sig, kernel, 65536, n_threads=1)[route]()
         assert np.array_equal(out.data, single.data)
+
+    @pytest.mark.parametrize("history", [False, True], ids=["per-packet", "stateful"])
+    def test_above_the_floor_few_channels_hand_the_worker_one_packet_range(
+        self, pools, monkeypatch, history
+    ):
+        # 2 x 31,270 samples in 79 packets of 400: the caller runs the first
+        # 39 packets on both rows and the worker the other 40, tail last.
+        sig = self._above_floor()
+        kernel = _small_kernel(31)
+        plan = packetize(sig, 400)
+        route = filter_stateful_stream if history else filter_per_packet
+        out = np.empty(sig.data.shape)
+        calls = []
+
+        class Recording(filtering.ReflectedConvolver):
+            def __call__(self, data, columns):
+                offset = columns.__array_interface__["data"][0] - out.__array_interface__["data"][0]
+                on_caller = threading.current_thread() is threading.main_thread()
+                calls.append((on_caller, data.shape[0], offset // out.itemsize))
+                return super().__call__(data, columns)
+
+        monkeypatch.setattr(filtering, "ReflectedConvolver", Recording)
+        route(sig, kernel, plan, n_threads=1, out=out)
+        one_thread = [column for _, _, column in calls]
+        calls.clear()
+        route(sig, kernel, plan, out=out)
+        assert pools.built == [1]
+        assert pools.submitted == 1
+        assert {rows for _, rows, _ in calls} == {2}
+        caller = [column for on_caller, _, column in calls if on_caller]
+        worker = [column for on_caller, _, column in calls if not on_caller]
+        assert caller + worker == one_thread
+        assert worker[0] == 39 * 400 - (kernel.group_delay_samples if history else 0)
 
     def test_pool_grows_to_the_largest_call(self, pools):
         sig = _random_signal(6, 400, seed=32)
