@@ -22,7 +22,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable
 
-from .errors import ValidationError
 from .signal_core import _as_count
 
 THREADS_ENV_VAR = "STREAMFILT_THREADS"
@@ -57,20 +56,20 @@ def resolve_threads(
     None).
     """
     channels, work = shape
+    name = "thread count"
     if n_threads is None:
         raw = os.environ.get(THREADS_ENV_VAR)
-        if raw is not None:
+        if raw is None:
+            if channels * work < _MIN_THREADED_WORK:
+                return 1
+            n_threads = _available_cpus()
+        else:
+            name = THREADS_ENV_VAR
             try:
                 n_threads = int(raw)
             except ValueError:
-                raise ValidationError(
-                    f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-                ) from None
-        elif channels * work < _MIN_THREADED_WORK:
-            return 1
-        else:
-            n_threads = _available_cpus()
-    return min(_as_count(n_threads, "thread count"), channels if count is None else count)
+                n_threads = raw  # rejected below, by name
+    return min(_as_count(n_threads, name), channels if count is None else count)
 
 
 class _WorkerPool:

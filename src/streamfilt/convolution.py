@@ -10,8 +10,8 @@ columns, and writes the valid outputs into an array the caller allocated,
 without ever building the padded record. Only the columns that fall in the
 reflections are materialised; everything else is read straight from the
 record. It does the work that depends on the input's shape once, so a loop
-over equal packets reuses it; convolve_reflected is its one-call form, and
-convolve_valid and convolve_valid_direct are the same code with a pad of 0.
+over equal packets reuses it; convolve_valid and convolve_valid_direct are
+the same code with a pad of 0.
 
 Two engines are provided. The direct engine is one np.convolve per channel
 and is also the reference for the streaming path, whose outputs must be
@@ -157,8 +157,11 @@ def choose_method(width: int, length: int) -> str:
 
 
 class ReflectedConvolver:
-    """convolve_reflected for every input of one shape, on columns = (lo, hi)
-    of the padded record (default: all), into hi - lo - length + 1 columns.
+    """convolve_valid(reflect_pad(data, pad)[:, lo:hi], taps, method) for
+    every input of one shape, on columns = (lo, hi) of the padded record
+    (default: all), into hi - lo - length + 1 columns, or none when that is
+    not positive. The output may be a view into a larger array; the padded
+    record is never built.
 
     The constructor does the work that depends on the shape alone: it picks
     the engine, works out the reflection, and for the FFT engine the block
@@ -246,26 +249,6 @@ class ReflectedConvolver:
                 _copy_reflection(data[ch : ch + 1], window, row)
                 padded = row[0]
             out[ch] = np.convolve(padded, self._taps, mode="valid")
-
-
-def convolve_reflected(
-    data: np.ndarray,
-    taps: np.ndarray,
-    pad: int,
-    out: np.ndarray,
-    method: str = "auto",
-    spectrum: Callable[[int], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Write convolve_valid(reflect_pad(data, pad), taps, method) into out.
-
-    out must have shape (channels, width + 2 * pad - length + 1), or zero
-    columns when that is not positive; it may be a view into a larger array.
-    The padded record is never built: the FFT engine reads its blocks from
-    data and the direct engine pads one row at a time. A loop over inputs
-    of one shape should build one ReflectedConvolver instead. spectrum is
-    as in ReflectedConvolver.
-    """
-    return ReflectedConvolver(data.shape, taps, pad, method, spectrum)(data, out)
 
 
 def convolve_valid_direct(data: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -4,50 +4,50 @@ All three produce exactly sample_count output samples per channel. The
 filter delay of (length - 1) / 2 samples is compensated by reflect-padding
 and trimming, so output sample k lines up with input sample k.
 
-Each route allocates its output once, or takes the caller's out, and
-writes every piece of work into its slice of it; none builds a padded copy
-of the record or a list of parts to concatenate. Batch convolves the whole
-record as if reflect-padded once.
-
-Per-packet and the stateful stream are one packet loop with two settings.
-After the packet that ends at stop, it writes the outputs [done, ready)
-from one window of the samples it may use, reflect-padded:
+The three are presets of one packet loop (_filter_packets). After the
+packet that ends at stop, it writes the outputs [done, ready) from one
+window of the samples it may use, reflect-padded:
 - history off (per-packet): the packet alone, with outputs written up to
   stop. Each packet is its own tiny record, which reproduces the boundary
   artifacts of naive real-time filtering; not equivalent to batch.
+- batch: history off over one packet that covers the record, so the whole
+  record is filtered as if reflect-padded once.
 - history on (stateful): every sample received so far, with outputs held
   back by the group delay, to stop - delay; the last packet finishes the
   record. The output equals direct batch bitwise, for any packetization.
-Neither reads a sample after stop. A lookahead between the two (history,
+None reads a sample after stop. A lookahead between the two (history,
 outputs held back by less than the delay) is an open sweep-report item.
 
+The loop allocates its output once, or takes the caller's out, and writes
+every piece of work into its slice of it; it builds no padded copy of the
+record and no list of parts to concatenate.
+
 Channels are independent, and np.convolve and numpy.fft release the GIL, so
-the routes split their work into contiguous ranges and run them on the
+the loop splits its work into contiguous ranges and runs them on the
 package's threads (_threads.run_ranges), each range into its part of the
-one output. Batch splits by channels. The packet loop splits by packets
-when the plan has at least as many packets as the record has channels:
-each thread runs the loop over its range of packets on every row, so a
-record of few channels still shares its Python loop out. It splits by
-channels otherwise (one-packet plans, live packets). Packets without
-history are independent, and with history each window is fixed by the
-outputs it writes, not by where a range starts; per-channel work does not
-depend on the grouping either. So the output is bitwise the same for any
-thread count.
+one output. It splits by packets when the plan has at least as many
+packets as the record has channels: each thread runs the loop over its
+range of packets on every row, so a record of few channels still shares
+its Python loop out. It splits by channels otherwise (batch, other
+one-packet plans, live packets). Packets without history are independent,
+and with history each window is fixed by the outputs it writes, not by
+where a range starts; per-channel work does not depend on the grouping
+either. So the output is bitwise the same for any thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, ClassVar, Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
 from ._threads import resolve_threads, run_ranges
-from .convolution import ReflectedConvolver, convolve_reflected
+from .convolution import ReflectedConvolver
 from .errors import ValidationError
 from .fir_design import FirKernel
-from .signal_core import SignalMatrix, _as_count, _as_int, _check_out
+from .signal_core import SignalMatrix, _as_count, _check_out
 
 
 @dataclass(frozen=True)
@@ -59,18 +59,11 @@ class PacketPlan:
     tail_size_samples: int
 
     def __post_init__(self) -> None:
-        for name in ("packet_size_samples", "packet_count", "tail_size_samples"):
-            value = _as_int(getattr(self, name))
-            if value is None:
-                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
-        if self.packet_size_samples < 1:
-            raise ValidationError(
-                f"packet_size_samples must be >= 1, got {self.packet_size_samples}"
-            )
-        if self.packet_count < 1:
-            raise ValidationError(f"packet_count must be >= 1, got {self.packet_count}")
-        if not 0 <= self.tail_size_samples < self.packet_size_samples:
+        for name, minimum in (
+            ("packet_size_samples", 1), ("packet_count", 1), ("tail_size_samples", 0)
+        ):
+            object.__setattr__(self, name, _as_count(getattr(self, name), name, minimum))
+        if self.tail_size_samples >= self.packet_size_samples:
             raise ValidationError(
                 f"tail_size_samples must be in [0, {self.packet_size_samples}), "
                 f"got {self.tail_size_samples}"
@@ -106,9 +99,12 @@ def packetize(signal: SignalMatrix, packet_size: int) -> PacketPlan:
 
 
 class FilterMode:
-    """Base of the three filter modes: a name, and a packet plan (None for batch)."""
+    """Base of the three filter modes, the presets of the packet loop: a
+    name, whether the loop keeps history, and a packet plan (None for batch,
+    whose plan is one packet that covers the record)."""
 
     name: ClassVar[str]
+    history: ClassVar[bool]
     plan: PacketPlan | None
 
     @property
@@ -124,6 +120,7 @@ class Batch(FilterMode):
     """Filter the whole record at once."""
 
     name: ClassVar[str] = "batch"
+    history: ClassVar[bool] = False
     plan: ClassVar[None] = None
 
 
@@ -132,6 +129,7 @@ class PerPacket(FilterMode):
     """Filter each packet independently, boundary artifacts included."""
 
     name: ClassVar[str] = "per-packet"
+    history: ClassVar[bool] = False
     plan: PacketPlan
 
 
@@ -140,6 +138,7 @@ class StatefulStream(FilterMode):
     """Filter packets as they arrive, keeping the past: equivalent to batch."""
 
     name: ClassVar[str] = "stateful"
+    history: ClassVar[bool] = True
     plan: PacketPlan
 
 
@@ -182,33 +181,6 @@ def _output(signal: SignalMatrix, out: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _padded_shape(signal: SignalMatrix, kernel: FirKernel) -> tuple[int, int]:
-    """The shape every route resolves its threads on: channels x (samples +
-    taps - 1)."""
-    channels, samples = signal.data.shape
-    return channels, samples + kernel.length - 1
-
-
-def _filter_channel_blocks(
-    signal: SignalMatrix,
-    kernel: FirKernel,
-    n_threads: int | None,
-    fill: Callable[[np.ndarray, np.ndarray], None],
-    out: np.ndarray | None = None,
-) -> SignalMatrix:
-    """Run fill(data_rows, out_rows) on contiguous channel blocks of the
-    output, one block per thread, and return it.
-
-    The output is allocated once, or is out (checked as in _output). The
-    result's data is then a read-only view of out, which changes when the
-    caller writes to out again.
-    """
-    data, out = signal.data, _output(signal, out)
-    threads = resolve_threads(n_threads, _padded_shape(signal, kernel))
-    run_ranges(data.shape[0], threads, lambda rows: fill(data[rows], out[rows]))
-    return SignalMatrix._adopt(signal.info, out)
-
-
 def filter_batch(
     signal: SignalMatrix,
     kernel: FirKernel,
@@ -217,7 +189,8 @@ def filter_batch(
     n_threads: int | None = None,
     out: np.ndarray | None = None,
 ) -> SignalMatrix:
-    """Zero-phase filter of the whole record.
+    """Zero-phase filter of the whole record: the packet loop without
+    history over one packet that covers it.
 
     n_threads splits the channels into that many blocks (capped by the
     channel count); the output is bitwise the same for any thread count.
@@ -232,13 +205,8 @@ def filter_batch(
     has too few samples to reflect once, so its reflection wraps (numpy's
     "reflect" padding, periodic with period 2 * (samples - 1)).
     """
-    _check_compatible(signal, kernel)
-    delay = kernel.group_delay_samples
-
-    def fill(data: np.ndarray, out: np.ndarray) -> None:
-        convolve_reflected(data, kernel.taps, delay, out, method, kernel.spectrum)
-
-    return _filter_channel_blocks(signal, kernel, n_threads, fill, out)
+    plan = packetize(signal, signal.info.sample_count)
+    return _filter_packets(signal, kernel, plan, False, method, n_threads, out)
 
 
 def _filter_packets(
@@ -287,7 +255,8 @@ def _filter_packets(
     channels, every = data.shape[0], slice(None)
     # No plan has more packets than the record has samples, so this cap
     # holds on either axis until the plan's own count is known.
-    threads = resolve_threads(n_threads, _padded_shape(signal, kernel), max(channels, width))
+    padded = (channels, width + kernel.length - 1)
+    threads = resolve_threads(n_threads, padded, max(channels, width))
     if threads > 1 and (packets := plan.chunk_count()) >= channels:
         run_ranges(packets, threads, lambda span: fill(every, span))
     else:
@@ -344,20 +313,19 @@ def apply_mode(
     n_threads: int | None = None,
     out: np.ndarray | None = None,
 ) -> SignalMatrix:
-    """Dispatch to the filtering front end named by mode.
+    """Run the packet loop with the settings of mode.
 
     method applies to batch and per-packet; the stream always runs on the
     direct engine, so it takes only "auto" or "direct". n_threads and out
     apply to every mode.
     """
-    if isinstance(mode, Batch):
-        return filter_batch(signal, kernel, method=method, n_threads=n_threads, out=out)
-    if isinstance(mode, PerPacket):
-        return _filter_packets(signal, kernel, mode.plan, False, method, n_threads, out)
-    if isinstance(mode, StatefulStream):
+    if not isinstance(mode, (Batch, PerPacket, StatefulStream)):
+        raise ValidationError(f"unknown filter mode {mode!r}")
+    if mode.history:
         if method not in ("auto", "direct"):
             raise ValidationError(
                 f"the stateful stream runs on the direct engine, got method {method!r}"
             )
-        return _filter_packets(signal, kernel, mode.plan, True, "direct", n_threads, out)
-    raise ValidationError(f"unknown filter mode {mode!r}")
+        method = "direct"
+    plan = packetize(signal, signal.info.sample_count) if mode.plan is None else mode.plan
+    return _filter_packets(signal, kernel, plan, mode.history, method, n_threads, out)

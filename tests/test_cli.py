@@ -720,7 +720,7 @@ class TestThreadsEnv:
         lines = err.splitlines()
         assert len(lines) == 2  # the config echo, then the error
         assert json.loads(lines[0])["threads_env"] == raw
-        assert lines[1].startswith("error: ")
+        assert lines[1].startswith("error: STREAMFILT_THREADS ")
         assert out == ""
         assert not (tmp_path / "o.f64").exists()
         assert not (tmp_path / "o.json").exists()
@@ -731,7 +731,7 @@ class TestThreadsEnv:
         monkeypatch.setenv("STREAMFILT_THREADS", "0")
         code, out, err = run_cli(capsys, "compare", "--a", str(base), "--b", str(base))
         assert code == 1
-        assert err.splitlines()[1].startswith("error: ")
+        assert err.splitlines()[1].startswith("error: STREAMFILT_THREADS ")
         assert out == ""
 
 

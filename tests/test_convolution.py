@@ -12,7 +12,6 @@ from streamfilt import ValidationError, convolution
 from streamfilt.convolution import (
     ReflectedConvolver,
     _next_fast_len,
-    convolve_reflected,
     convolve_valid,
     reflect_pad,
     reflect_pad_columns,
@@ -82,24 +81,24 @@ class TestConvolveReflected:
         padded = reflect_pad(data, pad)
         expected = convolve_valid(padded, taps, method)
         out = np.full(expected.shape, np.nan)
-        convolve_reflected(data, taps, pad, out, method)
+        ReflectedConvolver(data.shape, taps, pad, method)(data, out)
         assert np.array_equal(out, expected)
 
     def test_writes_into_a_column_slice(self):
         data = np.random.default_rng(2).standard_normal((2, 100))
         taps = np.ones(11) / 11
         full = np.zeros((2, 300))
-        convolve_reflected(data, taps, 5, full[:, 100:200], "direct")
+        ReflectedConvolver(data.shape, taps, 5, "direct")(data, full[:, 100:200])
         assert np.array_equal(full[:, 100:200], convolve_valid(reflect_pad(data, 5), taps, "direct"))
         assert not full[:, :100].any() and not full[:, 200:].any()
 
     def test_wrong_output_shape_rejected(self):
         with pytest.raises(ValidationError):
-            convolve_reflected(np.zeros((2, 100)), np.ones(11), 5, np.empty((2, 99)))
+            ReflectedConvolver((2, 100), np.ones(11), 5)(np.zeros((2, 100)), np.empty((2, 99)))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
-            convolve_reflected(np.zeros((1, 100)), np.ones(3), 1, np.empty((1, 100)), "fast")
+            ReflectedConvolver((1, 100), np.ones(3), 1, "fast")
 
 
 def _fresh_transforms_per_block(data, taps, pad, columns=None):
@@ -194,7 +193,7 @@ class TestOverlapSave:
         taps = rng.standard_normal(length)
         expected = _fresh_transforms_per_block(data, taps, pad)
         out = np.full(expected.shape, np.nan)
-        convolve_reflected(data, taps, pad, out, "fft")
+        ReflectedConvolver(data.shape, taps, pad, "fft")(data, out)
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("channels,width,length,pad", CASES)

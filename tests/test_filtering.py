@@ -17,6 +17,7 @@ from streamfilt import _threads, filtering
 from streamfilt import (
     MODE_NAMES,
     Batch,
+    FilterMode,
     FilterSpec,
     FirKernel,
     PacketPlan,
@@ -31,7 +32,7 @@ from streamfilt import (
     mode_from_name,
     packetize,
 )
-from streamfilt.convolution import METHODS, convolve_reflected, convolve_valid, reflect_pad
+from streamfilt.convolution import METHODS, ReflectedConvolver, convolve_valid, reflect_pad
 
 from conftest import make_signal
 
@@ -270,13 +271,11 @@ class TestFilterPerPacket:
         out = filter_per_packet(sig, kernel, plan, method=method)
         expected = np.empty_like(sig.data)
         for start, stop in plan.slices():
-            convolve_reflected(
-                sig.data[:, start:stop],
-                kernel.taps,
-                kernel.group_delay_samples,
-                expected[:, start:stop],
-                method,
+            packet = sig.data[:, start:stop]
+            convolver = ReflectedConvolver(
+                packet.shape, kernel.taps, kernel.group_delay_samples, method
             )
+            convolver(packet, expected[:, start:stop])
         assert np.array_equal(out.data, expected)
         # And against np.pad and np.convolve, which share no code with the engine.
         delay = kernel.group_delay_samples
@@ -662,7 +661,7 @@ class TestThreads:
         sig = _random_signal(2, 3000, seed=33)
         finished = []
 
-        def fill(data, out):
+        def work(items):
             on_caller = threading.current_thread() is threading.main_thread()
             if on_caller == (failing == "caller"):
                 raise RuntimeError(f"{failing} block")
@@ -670,7 +669,7 @@ class TestThreads:
             finished.append(True)
 
         with pytest.raises(RuntimeError, match=f"{failing} block"):
-            filtering._filter_channel_blocks(sig, _identity_kernel(), 2, fill)
+            _threads.run_ranges(2, 2, work)
         assert finished == [True]
         assert np.array_equal(filter_batch(sig, _identity_kernel(), n_threads=2).data, sig.data)
 
@@ -719,14 +718,14 @@ class TestKernelSpectrumCache:
         plan = packetize(sig, 200)
         uncached = []
         for kernel in kernels:
+            delay = kernel.group_delay_samples
             batch = np.empty(sig.data.shape)
-            convolve_reflected(sig.data, kernel.taps, kernel.group_delay_samples, batch, "fft")
+            ReflectedConvolver(sig.data.shape, kernel.taps, delay, "fft")(sig.data, batch)
             packets = np.empty(sig.data.shape)
             for start, stop in plan.slices():
-                convolve_reflected(
-                    sig.data[:, start:stop], kernel.taps, kernel.group_delay_samples,
-                    packets[:, start:stop], "fft",
-                )
+                packet = sig.data[:, start:stop]
+                convolver = ReflectedConvolver(packet.shape, kernel.taps, delay, "fft")
+                convolver(packet, packets[:, start:stop])
             uncached.append((batch, packets))
         for _ in range(3):
             for kernel, (batch, packets) in zip(kernels, uncached):
@@ -776,8 +775,9 @@ class TestApplyMode:
 
     def test_unknown_mode_rejected(self):
         sig = _random_signal(1, 100, seed=20)
-        with pytest.raises(ValidationError):
-            apply_mode(sig, _small_kernel(31), "batch")
+        for mode in ("batch", FilterMode()):
+            with pytest.raises(ValidationError, match="unknown filter mode"):
+                apply_mode(sig, _small_kernel(31), mode)
 
     @pytest.mark.parametrize(
         "name,packet_size,described",
@@ -879,7 +879,7 @@ class TestCallersOutput:
 
 class TestLengthPreservation:
     @pytest.mark.parametrize("samples", [1, 7, 100, 991, 1500])
-    @pytest.mark.parametrize("packet_size", [1, 64, 400])
+    @pytest.mark.parametrize("packet_size", [1, 64, 400, 1500])
     def test_all_modes(self, samples, packet_size):
         sig = _random_signal(2, samples, seed=samples + packet_size)
         kernel = _small_kernel(31)
@@ -888,3 +888,10 @@ class TestLengthPreservation:
             out = apply_mode(sig, kernel, mode)
             assert out.data.shape == sig.data.shape
             assert out.info == sig.info
+        if packet_size >= samples:
+            # A packet at least as long as the record is batch, bit for bit.
+            for method in METHODS:
+                for n_threads in (1, 2):
+                    got = filter_per_packet(sig, kernel, plan, method=method, n_threads=n_threads)
+                    expected = filter_batch(sig, kernel, method=method, n_threads=n_threads)
+                    assert np.array_equal(got.data, expected.data)
